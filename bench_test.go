@@ -67,17 +67,19 @@ func searchFixture(b *testing.B) (*search.Engine, []search.Query) {
 const searchRefN = 800
 
 // BenchmarkFig06SearchCalibration measures the calibration phase: one
-// iteration processes one training query at every calibration knot.
+// iteration processes one training query at every calibration knot, in
+// the single scan the calibration sweep takes.
 func BenchmarkFig06SearchCalibration(b *testing.B) {
 	e, qs := searchFixture(b)
-	knots := []float64{0.1, 0.5, 1, 2, 5, 10}
+	caps := []int{0.1 * searchRefN, 0.5 * searchRefN, searchRefN, 2 * searchRefN, 5 * searchRefN, 10 * searchRefN}
+	var sw search.CapSweep
+	var scan search.Scan
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := qs[i%len(qs)]
-		precise, _ := e.Search(q, 10, 0)
-		for _, k := range knots {
-			approx, _ := e.Search(q, 10, int(k*searchRefN))
-			_ = metrics.QueryLoss(precise, approx)
+		scan.Reset(e, qs[i%len(qs)], 10)
+		sw.Run(&scan, caps)
+		for j := range caps {
+			_ = metrics.QueryLoss(sw.Precise, sw.Pages[j])
 		}
 	}
 }
@@ -851,6 +853,52 @@ func BenchmarkServeQPS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.ServeHTTP(w, req)
+	}
+}
+
+// startupShards are the server-startup layouts the NewEngine and
+// ServeNew rows measure: the whole corpus, and one worker of a
+// three-shard fleet (the layout the cluster benchmark workload runs).
+var startupShards = []struct {
+	name         string
+	index, count int
+}{
+	{"unsharded", 0, 0},
+	{"shard-of-3", 1, 3},
+}
+
+// BenchmarkNewEngine measures building the default 20000-document corpus
+// and inverted index, one op per build. A shard draws the whole corpus
+// (its scoring statistics are corpus-wide) but builds postings for its
+// own documents only, so its B/op tracks the per-worker index memory.
+func BenchmarkNewEngine(b *testing.B) {
+	for _, sh := range startupShards {
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := search.NewEngine(search.Config{Seed: 42,
+					ShardIndex: sh.index, ShardCount: sh.count}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkServeNew measures a search server's whole startup with the
+// default configuration — corpus and index build plus the calibration
+// phase over 500 training queries — one op per serve.New.
+func BenchmarkServeNew(b *testing.B) {
+	for _, sh := range startupShards {
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := serve.New(serve.Config{Seed: 42,
+					ShardIndex: sh.index, ShardCount: sh.count}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -170,37 +170,51 @@ func (f *searchFixture) standardVersions() []searchVersion {
 // calibrationKnots is the Figure 6 sweep of M in units of N.
 var calibrationKnots = []float64{0.1, 0.25, 0.5, 1, 2, 4, 6, 8, 10}
 
+// calibrationLevels is the Figure 6 sweep in documents: each knot in
+// units of N, floored at one document.
+func (f *searchFixture) calibrationLevels() []float64 {
+	levels := make([]float64, len(calibrationKnots))
+	for i, k := range calibrationKnots {
+		levels[i] = math.Max(1, k*float64(f.refN))
+	}
+	return levels
+}
+
 // buildLoopModel runs the calibration phase over the given queries and
 // returns the loop model for the matching-document loop.
 func (f *searchFixture) buildLoopModel(queries []search.Query) (*model.LoopModel, error) {
-	knots := make([]float64, len(calibrationKnots))
-	for i, k := range calibrationKnots {
-		knots[i] = math.Max(1, k*float64(f.refN))
-	}
 	baseLevel := float64(f.engine.Docs())
-	cal, err := core.NewLoopCalibration("search.match", knots, baseLevel, baseLevel)
+	cal, err := core.NewLoopCalibration("search.match", f.calibrationLevels(), baseLevel, baseLevel)
 	if err != nil {
 		return nil, err
 	}
 	// Training queries hit the engine's immutable index only, so they can
 	// be measured concurrently; AddRunsParallel merges in query order, so
 	// the model is identical for any worker count.
+	caps := search.CapsOf(cal.Knots())
 	err = cal.AddRunsParallel(f.workers, len(queries), func(i int) ([]float64, []float64, error) {
-		q := queries[i]
-		precise, _ := f.engine.Search(q, f.topN, 0)
-		losses := make([]float64, len(knots))
-		works := make([]float64, len(knots))
-		for j, k := range knots {
-			approx, processed := f.engine.Search(q, f.topN, int(k))
-			losses[j] = metrics.QueryLoss(precise, approx)
-			works[j] = float64(processed)
-		}
+		losses, works := f.sweepLosses(queries[i], caps)
 		return losses, works, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return cal.Build()
+}
+
+// sweepLosses measures one training query at every cap in a single
+// scan: the 0/1 loss and the documents scored of each capped page
+// against the precise page.
+func (f *searchFixture) sweepLosses(q search.Query, caps []int) (losses, works []float64) {
+	var sw search.CapSweep
+	sw.Run(f.engine.NewScan(q, f.topN), caps)
+	losses = make([]float64, len(caps))
+	works = make([]float64, len(caps))
+	for j := range caps {
+		losses[j] = metrics.QueryLoss(sw.Precise, sw.Pages[j])
+		works[j] = float64(sw.Work[j])
+	}
+	return losses, works
 }
 
 func runFig6(o Options) (*Table, error) {

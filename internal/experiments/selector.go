@@ -142,12 +142,8 @@ func selectorSearchRows(o Options, t *Table) error {
 	if err != nil {
 		return err
 	}
-	knots := make([]float64, len(calibrationKnots))
-	for i, k := range calibrationKnots {
-		knots[i] = math.Max(1, k*float64(f.refN))
-	}
 	baseLevel := float64(f.engine.Docs())
-	cal, err := core.NewLoopCalibration("search.match", knots, baseLevel, baseLevel)
+	cal, err := core.NewLoopCalibration("search.match", f.calibrationLevels(), baseLevel, baseLevel)
 	if err != nil {
 		return err
 	}
@@ -158,16 +154,9 @@ func selectorSearchRows(o Options, t *Table) error {
 	if err := cal.FeatureBuckets(quantileEdges(calKeys, 4)); err != nil {
 		return err
 	}
+	caps := search.CapsOf(cal.Knots())
 	err = cal.AddRunsFeatParallel(f.workers, len(f.calQueries), func(i int) (core.Features, []float64, []float64, error) {
-		q := f.calQueries[i]
-		precise, _ := f.engine.Search(q, f.topN, 0)
-		losses := make([]float64, len(knots))
-		works := make([]float64, len(knots))
-		for j, k := range knots {
-			approx, processed := f.engine.Search(q, f.topN, int(k))
-			losses[j] = metrics.QueryLoss(precise, approx)
-			works[j] = float64(processed)
-		}
+		losses, works := f.sweepLosses(f.calQueries[i], caps)
 		return core.Features{Key: calKeys[i], Valid: true}, losses, works, nil
 	})
 	if err != nil {
@@ -186,17 +175,17 @@ func selectorSearchRows(o Options, t *Table) error {
 		minDocs int
 	}
 	oracles := make([]searchOracle, len(f.tstQueries))
+	var sw search.CapSweep
 	for i, q := range f.tstQueries {
-		precise, pdocs := f.engine.Search(q, f.topN, 0)
-		minDocs := pdocs
-		for _, k := range knots {
-			approx, docs := f.engine.Search(q, f.topN, int(k))
-			if metrics.QueryLoss(precise, approx) == 0 {
-				minDocs = docs
+		sw.Run(f.engine.NewScan(q, f.topN), caps)
+		minDocs := sw.Matches
+		for j := range caps {
+			if metrics.QueryLoss(sw.Precise, sw.Pages[j]) == 0 {
+				minDocs = sw.Work[j]
 				break
 			}
 		}
-		oracles[i] = searchOracle{precise: precise, minDocs: minDocs}
+		oracles[i] = searchOracle{precise: append([]int(nil), sw.Precise...), minDocs: minDocs}
 	}
 
 	drive := func(useSel bool) (*selOutcome, error) {

@@ -2,6 +2,8 @@ package search
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"testing"
 
@@ -138,5 +140,32 @@ func TestReadEngineRejectsUnorderedPostings(t *testing.T) {
 	}
 	if _, err := ReadEngine(bytes.NewReader(data)); !errors.Is(err, ErrBadIndex) {
 		t.Errorf("unordered postings accepted: %v", err)
+	}
+}
+
+// TestEngineBytesPinned pins the default corpus and index of seed 42,
+// unsharded and as shard 2 of 3, to their serialized digests: the
+// generated random stream, the corpus-wide statistics and the shard's
+// posting lists must not drift, because calibrated models, benchmark
+// quality figures and snapshot signatures all depend on them.
+func TestEngineBytesPinned(t *testing.T) {
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Seed: 42}, "72e9bebf06a039910aaf7c75ee3325b024b2b3b9fa9cf0aa5f652f257fc4a1b5"},
+		{Config{Seed: 42, ShardIndex: 2, ShardCount: 3}, "800b66ff581fde60c84158ea16fc4af80919eb9c71cf2bf0d1c649bba6aae15c"},
+	} {
+		e, err := NewEngine(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		if _, err := e.WriteTo(h); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("shard %d/%d: engine digest %s, want %s", c.cfg.ShardIndex, c.cfg.ShardCount, got, c.want)
+		}
 	}
 }

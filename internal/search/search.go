@@ -33,7 +33,7 @@ type Config struct {
 	AvgDocLen int
 	// QualityWeight scales the static quality prior relative to the BM25
 	// dynamic score; larger values make early termination safer. Zero
-	// selects the tuned default (12.0).
+	// selects the tuned default (16.0).
 	QualityWeight float64
 	// StopTerms is the number of head (most frequent) vocabulary terms
 	// excluded from generated queries, modeling stopword removal: without
@@ -42,15 +42,16 @@ type Config struct {
 	StopTerms int
 	// Seed makes corpus generation deterministic.
 	Seed int64
-	// ShardIndex/ShardCount partition the corpus across worker replicas:
-	// the engine generates the full corpus deterministically, then keeps
-	// postings only for documents with doc % ShardCount == ShardIndex.
+	// ShardIndex/ShardCount partition the corpus across worker replicas.
+	// The engine draws the full corpus deterministically but builds
+	// postings only for its own documents, doc % ShardCount == ShardIndex,
+	// so a shard's index is about 1/ShardCount of the unsharded one.
 	// Global doc ids, document statistics (lengths, quality priors), and
-	// collection statistics (avgLen, IDF) are all computed over the full
-	// corpus and preserved, so every shard scores a document exactly as
-	// the unsharded engine would — the union of ShardCount shards'
-	// uncapped results merges doc-for-doc into the unsharded result
-	// (sharding_test.go). ShardCount zero or one means unsharded.
+	// collection statistics (avgLen, IDF) are still computed over the full
+	// corpus, so every shard scores a document exactly as the unsharded
+	// engine would — the union of ShardCount shards' uncapped results
+	// merges doc-for-doc into the unsharded result (sharding_test.go).
+	// ShardCount zero or one means unsharded.
 	ShardIndex, ShardCount int
 }
 
@@ -120,47 +121,43 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.quality[d] = c.QualityWeight * ((1 - frac) + 0.05*qualRng.NormFloat64())
 	}
 
-	// Build documents term by term.
+	// Build documents term by term. Every document's terms are drawn, so
+	// the random stream, the document lengths and the document
+	// frequencies behind avgLen and IDF are corpus-wide for every shard
+	// layout; only the postings of the shard's own documents are kept.
+	// Documents are visited in increasing id, so each posting list is
+	// appended already sorted.
+	sharded := c.ShardCount > 1
+	df := make([]int, c.VocabSize)
+	tfs := make([]uint16, c.VocabSize) // per-document term counts
+	touched := make([]uint32, 0, 2*c.AvgDocLen)
 	totalLen := 0
-	tfs := make(map[uint32]uint16)
 	for d := 0; d < c.Docs; d++ {
 		n := c.AvgDocLen/2 + lenRng.Intn(c.AvgDocLen) // ~uniform around avg
 		e.docLen[d] = n
 		totalLen += n
-		clear(tfs)
+		touched = touched[:0]
 		for i := 0; i < n; i++ {
-			tfs[uint32(termZipf.Next())]++
+			t := uint32(termZipf.Next())
+			if tfs[t] == 0 {
+				touched = append(touched, t)
+			}
+			tfs[t]++
 		}
-		for term, tf := range tfs {
-			e.postings[term] = append(e.postings[term], Posting{Doc: uint32(d), TF: tf})
+		keep := !sharded || d%c.ShardCount == c.ShardIndex
+		for _, t := range touched {
+			df[t]++
+			if keep {
+				e.postings[t] = append(e.postings[t], Posting{Doc: uint32(d), TF: tfs[t]})
+			}
+			tfs[t] = 0
 		}
 	}
 	e.avgLen = float64(totalLen) / float64(c.Docs)
-	// Postings were appended in increasing doc id already, but sort
-	// defensively (cheap, one-time).
-	for t := range e.postings {
-		ps := e.postings[t]
-		sort.Slice(ps, func(i, j int) bool { return ps[i].Doc < ps[j].Doc })
-	}
-	// Precompute IDF.
 	e.idf = make([]float64, c.VocabSize)
 	for t := range e.idf {
-		df := float64(len(e.postings[t]))
-		e.idf[t] = math.Log(1 + (float64(c.Docs)-df+0.5)/(df+0.5))
-	}
-	// Shard filter, applied only after every corpus-wide statistic is in
-	// place: scoring must be identical across shard layouts, so only the
-	// posting lists shrink.
-	if c.ShardCount > 1 {
-		for t := range e.postings {
-			kept := e.postings[t][:0]
-			for _, p := range e.postings[t] {
-				if int(p.Doc)%c.ShardCount == c.ShardIndex {
-					kept = append(kept, p)
-				}
-			}
-			e.postings[t] = kept
-		}
+		f := float64(df[t])
+		e.idf[t] = math.Log(1 + (float64(c.Docs)-f+0.5)/(f+0.5))
 	}
 	return e, nil
 }

@@ -123,3 +123,85 @@ func TestTopNResultsInto(t *testing.T) {
 		}
 	}
 }
+
+// TestShardLocalBuildMatchesFilter pins the shard-local index build to
+// its reference, the unsharded engine filtered after the fact: for every
+// layout and seed, each shard's posting lists are exactly the unsharded
+// lists restricted to doc % ShardCount == ShardIndex, and every
+// corpus-wide statistic (IDF, document lengths, quality priors, avgLen)
+// is bit-identical.
+func TestShardLocalBuildMatchesFilter(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42} {
+		full, err := NewEngine(Config{Seed: seed, Docs: 1500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for count := 2; count <= 4; count++ {
+			for idx := 0; idx < count; idx++ {
+				e, err := NewEngine(Config{Seed: seed, Docs: 1500, ShardIndex: idx, ShardCount: count})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if e.avgLen != full.avgLen {
+					t.Fatalf("seed %d shard %d/%d: avgLen %v != unsharded %v", seed, idx, count, e.avgLen, full.avgLen)
+				}
+				for d := range full.docLen {
+					if e.docLen[d] != full.docLen[d] || e.quality[d] != full.quality[d] {
+						t.Fatalf("seed %d shard %d/%d: doc %d statistics differ", seed, idx, count, d)
+					}
+				}
+				for term := range full.postings {
+					if e.idf[term] != full.idf[term] {
+						t.Fatalf("seed %d shard %d/%d: term %d idf %v != unsharded %v", seed, idx, count, term, e.idf[term], full.idf[term])
+					}
+					var want []Posting
+					for _, p := range full.postings[term] {
+						if int(p.Doc)%count == idx {
+							want = append(want, p)
+						}
+					}
+					got := e.postings[term]
+					if len(got) != len(want) {
+						t.Fatalf("seed %d shard %d/%d: term %d has %d postings, filter gives %d", seed, idx, count, term, len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("seed %d shard %d/%d: term %d posting %d = %+v, want %+v", seed, idx, count, term, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestShardPostingsMemory is the per-worker memory guard: a shard holds
+// the posting storage of its own documents only — the summed capacity of
+// its posting lists stays within twice its share of the unsharded
+// postings (append growth slack), not the full-corpus arrays a filter
+// pass would leave behind.
+func TestShardPostingsMemory(t *testing.T) {
+	full, err := NewEngine(Config{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, ps := range full.postings {
+		total += len(ps)
+	}
+	for _, count := range []int{2, 3, 4} {
+		for idx := 0; idx < count; idx++ {
+			e, err := NewEngine(Config{Seed: 42, ShardIndex: idx, ShardCount: count})
+			if err != nil {
+				t.Fatal(err)
+			}
+			held := 0
+			for _, ps := range e.postings {
+				held += cap(ps)
+			}
+			if limit := 2 * total / count; held > limit {
+				t.Errorf("shard %d/%d holds %d posting slots, want <= %d (2x its share of %d)", idx, count, held, limit, total)
+			}
+		}
+	}
+}

@@ -232,8 +232,10 @@ func New(cfg Config) (*Server, error) {
 	if c.Selector {
 		feat = func(q search.Query) core.Features { return s.queryFeat(q.Terms) }
 	}
-	m, sel, err := s.calibrateLoop(snapshotName, knots, calQueries, feat, func(q search.Query, maxDocs int) ([]int, int) {
-		return engine.Search(q, c.TopN, maxDocs)
+	var scan search.Scan
+	m, sel, err := s.calibrateLoop(snapshotName, knots, calQueries, feat, func(q search.Query) search.Stepper {
+		scan.Reset(engine, q, c.TopN)
+		return &scan
 	})
 	if err != nil {
 		return nil, err
@@ -261,8 +263,10 @@ func New(cfg Config) (*Server, error) {
 		// Conjunctive match streams are much shorter than disjunctive
 		// ones, so the candidate levels sit correspondingly lower.
 		andKnots := []float64{5, 10, 25, 50, 100, 250}
-		mAnd, _, err := s.calibrateLoop(andLoopName, andKnots, calQueries, nil, func(q search.Query, maxDocs int) ([]int, int) {
-			return engine.SearchAnd(q, c.TopN, maxDocs)
+		var scanAnd search.ScanAnd
+		mAnd, _, err := s.calibrateLoop(andLoopName, andKnots, calQueries, nil, func(q search.Query) search.Stepper {
+			scanAnd.Reset(engine, q, c.TopN)
+			return &scanAnd
 		})
 		if err != nil {
 			return nil, err
@@ -289,12 +293,13 @@ func New(cfg Config) (*Server, error) {
 // calibrateLoop runs the calibration phase for one scan shape: for each
 // training query, the loss and work of capping the scan at each
 // candidate level, against the uncapped (precise) result of the same
-// run function. A non-nil feat function additionally tags every run
-// with its query's feature vector (bucket edges derived from the
-// training distribution's quartiles) and builds the per-input selector
-// beside the reactive model; a degenerate feature distribution silently
-// yields no selector (reactive-only).
-func (s *Server) calibrateLoop(name string, knots []float64, calQueries []search.Query, feat func(search.Query) core.Features, run func(q search.Query, maxDocs int) ([]int, int)) (*model.LoopModel, *core.LoopSelector, error) {
+// scan. newScan starts a scan of one query; a single CapSweep over it
+// yields every capped page and the precise page. A non-nil feat function
+// additionally tags every run with its query's feature vector (bucket
+// edges derived from the training distribution's quartiles) and builds
+// the per-input selector beside the reactive model; a degenerate feature
+// distribution silently yields no selector (reactive-only).
+func (s *Server) calibrateLoop(name string, knots []float64, calQueries []search.Query, feat func(search.Query) core.Features, newScan func(search.Query) search.Stepper) (*model.LoopModel, *core.LoopSelector, error) {
 	baseLevel := float64(s.engine.Docs())
 	cal, err := core.NewLoopCalibration(name, knots, baseLevel, baseLevel)
 	if err != nil {
@@ -314,14 +319,17 @@ func (s *Server) calibrateLoop(name string, knots []float64, calQueries []search
 			return nil, nil, err
 		}
 	}
-	losses := make([]float64, len(knots))
-	work := make([]float64, len(knots))
+	// The calibration's own (sorted) knots index the losses, so they can
+	// never misalign with the levels AddRun attributes them to.
+	caps := search.CapsOf(cal.Knots())
+	losses := make([]float64, len(caps))
+	work := make([]float64, len(caps))
+	var sweep search.CapSweep
 	for _, q := range calQueries {
-		precise, _ := run(q, 0)
-		for i, k := range knots {
-			approx, processed := run(q, int(k))
-			losses[i] = metrics.QueryLoss(precise, approx)
-			work[i] = float64(processed)
+		sweep.Run(newScan(q), caps)
+		for i := range caps {
+			losses[i] = metrics.QueryLoss(sweep.Precise, sweep.Pages[i])
+			work[i] = float64(sweep.Work[i])
 		}
 		if feat != nil {
 			if err := cal.AddRunFeat(feat(q), losses, work); err != nil {
@@ -739,9 +747,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // docScanner is the incremental scan surface serveQuery drives — both
 // the disjunctive Scan and the conjunctive ScanAnd satisfy it.
 type docScanner interface {
-	Step() bool
-	Processed() int
-	TopNInto([]int) []int
+	search.Stepper
 	TopNResultsInto([]search.Result) []search.Result
 }
 
@@ -773,14 +779,16 @@ func (sc *serveScratch) release() {
 // serveQuery runs one query's scan under the given loop controller into
 // sc.resp, honoring the client context (cancellation) and the explicit
 // deadline: if either expires mid-scan the partial results scored so
-// far are returned, marked degraded. and selects the conjunctive QoS
-// comparison (the monitored precise rerun must execute the same
-// retrieval semantics as the approximated scan).
+// far are returned, marked degraded. A monitored execution judges its
+// QoS on the scan itself (see serveQoS); and selects the conjunctive
+// retrieval for the precise rerun a degraded monitored scan falls back
+// to.
 func (s *Server) serveQuery(ctx context.Context, deadline time.Time, loop *core.Loop, scan docScanner, q search.Query, feat core.Features, and bool, sc *serveScratch) error {
 	qos := serveQoSPool.Get().(*serveQoS)
 	qos.engine, qos.query, qos.topN = s.engine, q, s.cfg.TopN
 	qos.chaos = s.cfg.Chaos
 	qos.and = and
+	qos.scan = scan
 	exec, err := loop.ExecFeat(qos, feat)
 	if err != nil {
 		qos.release()
@@ -795,7 +803,11 @@ func (s *Server) serveQuery(ctx context.Context, deadline time.Time, loop *core.
 	// documents so the fast path stays a couple of instructions per
 	// iteration.
 	degraded := expired()
-	for !degraded && exec.Continue(i) && scan.Step() {
+	for !degraded && exec.Continue(i) {
+		if !scan.Step() {
+			qos.complete = true
+			break
+		}
 		i++
 		if i&0x3f == 0 && expired() {
 			degraded = true
@@ -1025,47 +1037,64 @@ func (s *Server) Engine() *search.Engine { return s.engine }
 // Ops exposes the operational counters, for tooling and tests.
 func (s *Server) Ops() *metrics.OpsCounters { return &s.ops }
 
-// serveQoS adapts a served query to core.LoopQoS. Adapters are pooled so
-// the per-query fast path allocates nothing beyond the scan itself. The
-// chaos injector hooks live here: the QoS callbacks are exactly the
-// user-code surface the controller's panic containment guards, so this
-// is where the fault-injection harness aims.
+// serveQoS adapts a served query to core.LoopQoS. Adapters are pooled,
+// page buffers included, so the per-query fast path allocates nothing
+// beyond the scan itself. The monitored judgement reads the live scan
+// rather than rerunning the query: Record runs at iteration i, before
+// the scan's (i+1)th document, so the scan's running page there is
+// exactly the page a scan capped at i returns; and once the scan has run
+// to completion its page is the precise one. The chaos injector hooks
+// live here: the QoS callbacks are exactly the user-code surface the
+// controller's panic containment guards, so this is where the
+// fault-injection harness aims.
 type serveQoS struct {
-	engine   *search.Engine
-	query    search.Query
-	topN     int
-	recorded []int
-	chaos    *chaos.Injector
-	// and selects the conjunctive retrieval for both the monitored
-	// snapshot and the precise rerun, matching the scan being judged.
+	engine *search.Engine
+	query  search.Query
+	topN   int
+	chaos  *chaos.Injector
+	// scan is the served scan under judgement; complete reports that it
+	// ran to exhaustion, so its final page is the precise page. A scan
+	// cut short at the deadline is not complete, and Loss reruns the
+	// precise query instead.
+	scan     docScanner
+	complete bool
+	// and selects the conjunctive retrieval for that precise rerun,
+	// matching the scan being judged.
 	and bool
+	// uncapped marks a record at iteration 0, where the capped rerun the
+	// adapter stands in for (maxDocs 0) means no cap: the recorded page
+	// is the precise page.
+	uncapped          bool
+	recorded, precise []int
 }
 
 var serveQoSPool = sync.Pool{New: func() any { return new(serveQoS) }}
 
 func (q *serveQoS) release() {
-	*q = serveQoS{}
+	*q = serveQoS{recorded: q.recorded[:0], precise: q.precise[:0]}
 	serveQoSPool.Put(q)
 }
 
 func (q *serveQoS) Record(iter int) {
 	q.chaos.MaybeDelay("qos.record")
 	q.chaos.MaybePanic("qos.record")
-	if q.and {
-		q.recorded, _ = q.engine.SearchAnd(q.query, q.topN, iter)
-	} else {
-		q.recorded, _ = q.engine.Search(q.query, q.topN, iter)
-	}
+	q.uncapped = iter <= 0
+	q.recorded = q.scan.TopNInto(q.recorded)
 }
 
 func (q *serveQoS) Loss(int) float64 {
 	q.chaos.MaybeDelay("qos.loss")
 	q.chaos.MaybePanic("qos.loss")
-	var precise []int
-	if q.and {
-		precise, _ = q.engine.SearchAnd(q.query, q.topN, 0)
-	} else {
-		precise, _ = q.engine.Search(q.query, q.topN, 0)
+	if q.uncapped {
+		return 0
 	}
-	return metrics.QueryLoss(precise, q.recorded)
+	switch {
+	case q.complete:
+		q.precise = q.scan.TopNInto(q.precise)
+	case q.and:
+		q.precise, _ = q.engine.SearchAnd(q.query, q.topN, 0)
+	default:
+		q.precise, _ = q.engine.Search(q.query, q.topN, 0)
+	}
+	return metrics.QueryLoss(q.precise, q.recorded)
 }

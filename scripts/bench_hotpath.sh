@@ -3,9 +3,10 @@
 # BenchmarkLoopHotPath* / BenchmarkLoopExecFeat* / BenchmarkLoopExecN /
 # BenchmarkFuncCallN / BenchmarkFunc2CallN / BenchmarkFunc2HotPath* /
 # BenchmarkServeQPS / BenchmarkClusterScatter /
-# BenchmarkCombineSearchSpace families and emits one JSON object
-# (ns/op, allocs/op, and the combination search's evaluated-combos
-# count) suitable for a "before"/"after" entry in BENCH_hotpath.json.
+# BenchmarkCombineSearchSpace / BenchmarkNewEngine / BenchmarkServeNew
+# families and emits one JSON object (ns/op, B/op, allocs/op, and the
+# combination search's evaluated-combos count) suitable for a
+# "before"/"after" entry in BENCH_hotpath.json.
 #
 # Usage:
 #
@@ -31,7 +32,7 @@ while [ $# -gt 0 ]; do
 	esac
 done
 
-pattern='LoopHotPath|LoopExecFeat|LoopExecN|FuncCallN|Func2CallN|Func2HotPath|ServeQPS|ClusterScatter|CombineSearchSpace'
+pattern='LoopHotPath|LoopExecFeat|LoopExecN|FuncCallN|Func2CallN|Func2HotPath|ServeQPS|ClusterScatter|CombineSearchSpace|NewEngine|ServeNew'
 
 raw=""
 i=0
@@ -55,9 +56,10 @@ BEGIN { n = 0; gmp = "" }
 		sub(/-[0-9]+$/, "", name)
 	}
 	sub(/^Benchmark/, "", name)
-	ns = ""; allocs = ""; combos = ""
+	ns = ""; bytes = ""; allocs = ""; combos = ""
 	for (i = 2; i <= NF; i++) {
 		if ($i == "ns/op") ns = $(i - 1)
+		if ($i == "B/op") bytes = $(i - 1)
 		if ($i == "allocs/op") allocs = $(i - 1)
 		if ($i == "combos/op") combos = $(i - 1)
 	}
@@ -65,7 +67,7 @@ BEGIN { n = 0; gmp = "" }
 	# Best-of-N: keep the fastest run of each benchmark.
 	if (!(name in nsof)) order[n++] = name
 	if (!(name in nsof) || ns + 0 < nsof[name] + 0) {
-		nsof[name] = ns; allocsof[name] = allocs; combosof[name] = combos
+		nsof[name] = ns; bytesof[name] = bytes; allocsof[name] = allocs; combosof[name] = combos
 	}
 }
 END {
@@ -82,6 +84,7 @@ END {
 	for (i = 0; i < n; i++) {
 		name = order[i]
 		entry = sprintf("    {\"name\": \"%s\", \"ns_per_op\": %s", name, nsof[name])
+		if (bytesof[name] != "") entry = entry sprintf(", \"bytes_per_op\": %s", bytesof[name])
 		if (allocsof[name] != "") entry = entry sprintf(", \"allocs_per_op\": %s", allocsof[name])
 		if (combosof[name] != "") entry = entry sprintf(", \"evaluated_combos\": %s", combosof[name])
 		entry = entry "}"
