@@ -740,6 +740,27 @@ func hotFuncFixture(b *testing.B, sampleInterval int) *green.Func {
 	return f
 }
 
+// BenchmarkFuncHotPath measures one Func.Call — the call the pricing
+// workload makes per option leg — on the same fixture as
+// BenchmarkFuncCallN, so the two rows compare per element. "steady" is
+// the pure operational path (check.sh holds it at 0 allocs/op).
+func BenchmarkFuncHotPath(b *testing.B) {
+	run := func(sampleInterval int) func(*testing.B) {
+		return func(b *testing.B) {
+			f := hotFuncFixture(b, sampleInterval)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				sink += f.Call(-1)
+			}
+			_ = sink
+		}
+	}
+	b.Run("steady", run(0))
+	b.Run("monitored1k", run(1000))
+}
+
 // BenchmarkFuncCallN measures the batched function tier against the
 // per-call path: one op is one element of a 64-element CallN.
 func BenchmarkFuncCallN(b *testing.B) {

@@ -31,22 +31,29 @@ import (
 //	          way the cluster control plane clamps shard corrections.
 //	          Observe and Correct share stageObserveCorrect.
 //
-// Loop, Func, and Func2 each add only (a) the shape of their immutable
-// approximation snapshot, (b) how a policy action translates into that
-// snapshot, and (c) which entry points thread Features in (ExecFeat,
-// CallFeat, and their batch variants). Everything else — the counters,
-// the striped loss accumulator, the sampling decision, the panic
-// breaker, selector bookkeeping, policy invocation and event emission,
+// On top of controller[S] sit two cores, one per construct the paper
+// synthesizes. The loop core (loopMember, loop.go) is the one epilogue
+// of Figures 3/5: the stop decision, the recovered callbacks, Continue's
+// decision, and the monitored end-of-member observation, shared by
+// LoopExec and LoopBatch. The version-ladder core (ladder, ladder.go) is the one call
+// site of Figure 7: the offset ladder, the monitored call, and the
+// State/Restore counter plumbing, shared by Func and Func2. A kind then
+// adds only its snapshot's selection rule (the loop threshold, Func's
+// range table, Func2's grid) and its typed entry points. Everything
+// else — the counters, the striped loss accumulator, the sampling
+// decision, the panic breaker, the disable switch every snapshot
+// embeds, selector bookkeeping, policy invocation and event emission,
 // Stats, and the copy-on-write publish protocol — lives here, once, as
 // controller[S].
 //
-// S is the controller's immutable snapshot type (loopState, funcState,
-// func2State). The hot path reads it with one atomic load; every
+// S is the controller's immutable snapshot type (loopState,
+// ladderState). The hot path reads it with one atomic load; every
 // mutation copies the current snapshot under mu, edits the copy, and
 // publishes it atomically, so non-monitored executions never take a
 // lock. The Selector slot is a separate atomic pointer: when none is
 // installed the Select stage is one nil check, and the pipeline is
-// bit-identical to the reactive-only law.
+// bit-identical to the reactive-only law. Featureless entry points
+// (Begin, ExecN, Call, CallN) never consult it.
 
 // ctrlOptions are the configuration fields every controller kind shares;
 // each concrete config struct maps onto it in its constructor.
@@ -199,6 +206,27 @@ func (c *controller[S]) Selector() Selector {
 	return nil
 }
 
+// selectorState is a snapshot's versioned selector section: nil when no
+// Selector is installed.
+func (c *controller[S]) selectorState() *SelectorState {
+	if sel := c.Selector(); sel != nil {
+		ss := sel.State()
+		return &ss
+	}
+	return nil
+}
+
+// restoreSelector applies a snapshot's selector section, fail-soft on
+// version skew both ways: an absent section leaves the selector cold,
+// and a section for a selector-less controller is dropped. Restore
+// methods call it before mutating, so an invalid section rejects all.
+func (c *controller[S]) restoreSelector(s *SelectorState) error {
+	if sel := c.Selector(); s != nil && sel != nil {
+		return sel.Restore(*s)
+	}
+	return nil
+}
+
 // SelectorStats reports the Select-stage counters.
 func (c *controller[S]) SelectorStats() SelectorStats {
 	return SelectorStats{
@@ -222,11 +250,11 @@ func (c *controller[S]) LastRecalibration() (seq int64, act Action) {
 }
 
 // stageSelect runs the Select stage: consult the installed Selector
-// with the execution's Features. The caller passes the Execute-stage
-// decision so selector choices discarded by a forced-precise breaker
-// window are counted as overrides rather than silently dropped.
-// Lock-free; no allocation.
-func (c *controller[S]) stageSelect(f Features, o obs, disabled bool) selDecision {
+// with the execution's Features. precise reports that the Execute stage
+// forced this execution precise (breaker open) or that approximation is
+// disabled, so a selector choice is counted as an override rather than
+// silently dropped. Lock-free; no allocation.
+func (c *controller[S]) stageSelect(f Features, precise bool) selDecision {
 	slot := c.sel.Load()
 	if slot == nil {
 		return selDecision{}
@@ -240,7 +268,7 @@ func (c *controller[S]) stageSelect(f Features, o obs, disabled bool) selDecisio
 		c.selFallbacks.Add(1)
 		return selDecision{}
 	}
-	if o.forced || disabled {
+	if precise {
 		c.selOverrides.Add(1)
 		return selDecision{}
 	}
@@ -345,22 +373,6 @@ func (c *controller[S]) stageExecuteBatch(n int) batchObs {
 	return b
 }
 
-// reconcileBatch returns unused executions to the counter when a batch
-// is finished after running only ran of its n members, keeping Stats
-// exact for abandoned batches.
-func (c *controller[S]) reconcileBatch(n, ran int) {
-	if ran < n {
-		c.count.Add(int64(ran - n))
-	}
-}
-
-// finishObservation completes one monitored execution that carried no
-// Select-stage decision (the featureless entry points). It is the
-// Observe + Correct stages with an empty selDecision.
-func (c *controller[S]) finishObservation(o obs, loss float64, panicked bool, apply func(*S, Action) float64) Action {
-	return c.stageObserveCorrect(o, loss, panicked, selDecision{}, apply)
-}
-
 // stageObserveCorrect runs the Observe and Correct stages for one
 // monitored execution. A contained panic is a failed observation: its
 // loss value would be garbage, so it is discarded — never counted into
@@ -423,6 +435,44 @@ func (c *controller[S]) stageObserveCorrect(o obs, loss float64, panicked bool, 
 	return d.Action
 }
 
+// approxSwitch is the disable state every controller snapshot embeds
+// (loopState, ladderState).
+type approxSwitch struct {
+	// disabled is the model-driven disable (the SLA is unsatisfiable at
+	// every calibrated level); recalibration pressure can clear it.
+	disabled bool
+	// forceOff is the sticky disable: set by a config's Disabled or by
+	// DisableApprox, cleared only by EnableApprox.
+	forceOff bool
+}
+
+// off reports whether approximation is disabled either way.
+func (s *approxSwitch) off() bool { return s.disabled || s.forceOff }
+
+// sw is promoted to each embedding snapshot; switchOf finds it there.
+func (s *approxSwitch) sw() *approxSwitch { return s }
+
+// switchOf returns the approxSwitch embedded in a controller snapshot.
+func switchOf[S any](st *S) *approxSwitch {
+	return any(st).(interface{ sw() *approxSwitch }).sw()
+}
+
+// DisableApprox implements Unit: revert to precise execution. The
+// disable is sticky — recalibration pressure does not re-enable it;
+// only EnableApprox does.
+func (c *controller[S]) DisableApprox() {
+	c.mutate(func(st *S) { switchOf(st).forceOff = true })
+}
+
+// EnableApprox re-enables approximation after DisableApprox, clearing a
+// model-driven disable as well.
+func (c *controller[S]) EnableApprox() {
+	c.mutate(func(st *S) { *switchOf(st) = approxSwitch{} })
+}
+
+// ApproxEnabled implements Unit.
+func (c *controller[S]) ApproxEnabled() bool { return !switchOf(c.state.Load()).off() }
+
 // mutate rebuilds the published snapshot under the lock (copy-on-write).
 func (c *controller[S]) mutate(fn func(*S)) {
 	c.mu.Lock()
@@ -430,6 +480,20 @@ func (c *controller[S]) mutate(fn func(*S)) {
 	next := *c.state.Load()
 	fn(&next)
 	c.state.Store(&next)
+}
+
+// adjust applies a recalibration action outside the monitored path (the
+// Unit interface's IncreaseAccuracy/DecreaseAccuracy) and reports
+// whether it moved the approximation level. apply is the kind's action
+// translation, the same one the Correct stage uses; ActNone leaves the
+// snapshot untouched and just reports the level.
+func (c *controller[S]) adjust(a Action, apply func(*S, Action) float64) bool {
+	changed := false
+	c.mutate(func(st *S) {
+		before := apply(st, ActNone)
+		changed = apply(st, a) != before
+	})
+	return changed
 }
 
 // setInterval overrides the sampling interval (tests and tools).
@@ -551,24 +615,4 @@ func (a *lossAccumulator) drain() float64 {
 		s += math.Float64frombits(a.cells[i].bits.Swap(0))
 	}
 	return s
-}
-
-// applyOffsetAction shifts a version-ladder precision offset for a
-// recalibration action, clamped to ±nVersions, and clears the
-// model-driven disable (recalibration pressure can re-enable a site the
-// model had given up on). Shared by Func and Func2, whose approximation
-// level is an offset into the version ladder.
-func applyOffsetAction(offset *int, disabled *bool, a Action, nVersions int) {
-	switch a {
-	case ActIncrease:
-		if *offset < nVersions {
-			*offset++
-		}
-		*disabled = false
-	case ActDecrease:
-		if *offset > -nVersions {
-			*offset--
-		}
-		*disabled = false
-	}
 }

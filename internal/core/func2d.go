@@ -57,28 +57,18 @@ type Func2Config struct {
 	BreakerCooldown int
 }
 
-// func2State is the immutable snapshot Func2's Call fast path reads with
-// a single atomic load, published through the embedded controller's
-// copy-on-write protocol.
-type func2State struct {
-	offset   int
-	disabled bool
-	forceOff bool
-}
-
 // Func2 is the two-parameter function controller. It mirrors Func's
-// behavior: per-call cheapest-version selection under the SLA, monitored
+// behavior — per-call cheapest-version selection under the SLA, monitored
 // sampling with panic containment and a circuit breaker, and
-// offset-based recalibration. The counters, sampling decision, breaker,
-// policy plumbing, and Stats come from the embedded generic controller;
-// the non-monitored path is lock-free.
+// offset-based recalibration — by embedding the same ladder core
+// (ladder.go); it adds only the grid lookup, Sensitivity, and the typed
+// Call/CallN entry points. The non-monitored path is lock-free.
 type Func2 struct {
-	controller[func2State]
+	ladder
 
 	cfg      Func2Config
 	precise  Fn2
 	versions []Fn2
-	qos      FuncQoS
 }
 
 // NewFunc2 builds the controller; approx must match the model's versions
@@ -98,46 +88,23 @@ func NewFunc2(cfg Func2Config, precise Fn2, approx []Fn2) (*Func2, error) {
 		cfg:      cfg,
 		precise:  precise,
 		versions: append([]Fn2(nil), approx...),
-		qos:      cfg.QoS,
 	}
-	if err := f.init("func2", ctrlOptions{
+	if err := f.initLadder("func2", ctrlOptions{
 		Name: cfg.Name, SLA: cfg.SLA, SampleInterval: cfg.SampleInterval,
 		Policy: cfg.Policy, OnEvent: cfg.OnEvent,
 		BreakerThreshold: cfg.BreakerThreshold, BreakerCooldown: cfg.BreakerCooldown,
-	}); err != nil {
+	}, len(approx), cfg.QoS, ladderState{approxSwitch: approxSwitch{forceOff: cfg.Disabled}}); err != nil {
 		return nil, err
 	}
-	if f.qos == nil {
-		f.qos = defaultFuncQoS
-	}
-	f.state.Store(&func2State{forceOff: cfg.Disabled})
 	return f, nil
 }
 
-// Offset returns the recalibration precision offset.
-func (f *Func2) Offset() int { return int(f.state.Load().offset) }
-
-// Level reports the precision offset as the controller's approximation
-// level (the registry's uniform scalar view; see registry.go).
-func (f *Func2) Level() float64 { return float64(f.state.Load().offset) }
-
-// selectVersion applies the model plus the snapshot's offset.
-func (f *Func2) selectVersion(st *func2State, x, y float64) int {
-	if st.disabled || st.forceOff {
+// selectVersion applies the grid model plus the snapshot's offset.
+func (f *Func2) selectVersion(st *ladderState, x, y float64) int {
+	if st.off() {
 		return model.PreciseVersion
 	}
-	v := f.cfg.Model.SelectVersion(x, y, f.cfg.SLA)
-	if v == model.PreciseVersion {
-		return v
-	}
-	v += st.offset
-	if v >= len(f.versions) {
-		return model.PreciseVersion
-	}
-	if v < 0 {
-		v = 0
-	}
-	return v
+	return f.shift(st, f.cfg.Model.SelectVersion(x, y, f.cfg.SLA))
 }
 
 // Call evaluates the function under the approximation policy. On
@@ -155,34 +122,25 @@ func (f *Func2) Call(x, y float64) float64 {
 		// Breaker open: forced precise, monitoring suspended.
 		v = model.PreciseVersion
 	}
-
 	if !o.monitor {
 		if v == model.PreciseVersion {
 			return f.precise(x, y)
 		}
 		return f.versions[v](x, y)
 	}
+	return f.member(o, v, x, y)
+}
 
-	yp := f.precise(x, y)
-	loss := 0.0
-	panicked := false
-	if v != model.PreciseVersion {
-		if ya, ok := f.safeApprox(v, x, y); ok {
-			if lv, ok := f.safeQoS(yp, ya); ok {
-				loss = lv
-			} else {
-				panicked = true
-			}
-		} else {
-			panicked = true
+// member runs one monitored call of version v at (x, y) through the
+// ladder core. Call and CallN share it.
+func (f *Func2) member(o obs, v int, x, y float64) float64 {
+	z, _ := f.callMonitored(o, selDecision{}, v, func(v int) float64 {
+		if v == model.PreciseVersion {
+			return f.precise(x, y)
 		}
-	}
-
-	f.finishObservation(o, loss, panicked, func(st *func2State, a Action) float64 {
-		applyOffsetAction(&st.offset, &st.disabled, a, len(f.versions))
-		return float64(st.offset)
+		return f.versions[v](x, y)
 	})
-	return yp
+	return z
 }
 
 // CallN evaluates the function at each (xs[i], ys[i]) pair, writing
@@ -223,72 +181,10 @@ func (f *Func2) CallN(xs, ys, zs []float64) error {
 			}
 			continue
 		}
-		// Monitored member: Call's monitored path, inline.
-		zp := f.precise(x, y)
-		loss := 0.0
-		panicked := false
-		if v != model.PreciseVersion {
-			if za, ok := f.safeApprox(v, x, y); ok {
-				if lv, ok := f.safeQoS(zp, za); ok {
-					loss = lv
-				} else {
-					panicked = true
-				}
-			} else {
-				panicked = true
-			}
-		}
-		zs[i] = zp
-		f.finishObservation(obs{seq: o.first + int64(i), monitor: true, probe: o.probe}, loss, panicked,
-			func(st *func2State, a Action) float64 {
-				applyOffsetAction(&st.offset, &st.disabled, a, len(f.versions))
-				return float64(st.offset)
-			})
+		zs[i] = f.member(obs{seq: o.first + int64(i), monitor: true, probe: o.probe}, v, x, y)
 		st = f.state.Load()
 	}
 	return nil
-}
-
-// safeApprox runs approximate version v under recover.
-func (f *Func2) safeApprox(v int, x, y float64) (z float64, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			z, ok = 0, false
-		}
-	}()
-	return f.versions[v](x, y), true
-}
-
-// safeQoS runs the QoS comparator under recover.
-func (f *Func2) safeQoS(yp, ya float64) (loss float64, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			loss, ok = 0, false
-		}
-	}()
-	return f.qos(yp, ya), true
-}
-
-// IncreaseAccuracy implements Unit.
-func (f *Func2) IncreaseAccuracy() bool {
-	changed := false
-	f.mutate(func(st *func2State) {
-		before := st.offset
-		applyOffsetAction(&st.offset, &st.disabled, ActIncrease, len(f.versions))
-		changed = st.offset != before
-	})
-	return changed
-}
-
-// DecreaseAccuracy implements Unit.
-func (f *Func2) DecreaseAccuracy() bool {
-	changed := false
-	f.mutate(func(st *func2State) {
-		before := st.offset
-		applyOffsetAction(&st.offset, &st.disabled, ActDecrease, len(f.versions))
-		changed = st.offset != before
-	})
-	return changed
 }
 
 // Sensitivity implements Unit: the mean modeled loss improvement per
@@ -344,26 +240,6 @@ func (f *Func2) Sensitivity() float64 {
 		return 0
 	}
 	return dLoss / dWork
-}
-
-// DisableApprox implements Unit; the disable is sticky — only
-// EnableApprox clears it.
-func (f *Func2) DisableApprox() {
-	f.mutate(func(st *func2State) { st.forceOff = true })
-}
-
-// EnableApprox re-enables approximation after DisableApprox.
-func (f *Func2) EnableApprox() {
-	f.mutate(func(st *func2State) {
-		st.forceOff = false
-		st.disabled = false
-	})
-}
-
-// ApproxEnabled implements Unit.
-func (f *Func2) ApproxEnabled() bool {
-	st := f.state.Load()
-	return !st.disabled && !st.forceOff
 }
 
 // SiteSet manages per-call-site controllers for one approximated

@@ -69,31 +69,19 @@ type FuncConfig struct {
 	BreakerCooldown int
 }
 
-// funcState is the immutable snapshot the Call fast path reads with a
-// single atomic load: version-selection ranges, the recalibration offset,
-// and the disable flags. It is published through the embedded
-// controller's copy-on-write protocol, so ordinary calls never contend
-// on a lock.
-type funcState struct {
-	ranges   []model.Range
-	offset   int
-	disabled bool
-	forceOff bool
-}
-
 // Func is an approximable function: the operational-phase object
 // synthesized from an approx_func annotation. Call reproduces the
 // generated code of Figure 7 and is safe for concurrent use; the
-// non-monitored path is lock-free. The counters, sampling decision,
-// breaker, policy plumbing, and Stats come from the embedded generic
-// controller.
+// non-monitored path is lock-free. The version ladder — snapshot,
+// offset, monitored call, Unit methods — comes from the embedded ladder
+// core (ladder.go), and the counters, sampling decision, breaker, policy
+// plumbing, and Stats from the generic controller beneath it.
 type Func struct {
-	controller[funcState]
+	ladder
 
 	cfg      FuncConfig
 	precise  Fn
 	versions []Fn
-	qos      FuncQoS
 	key      func(float64) float64
 
 	// workMilli accumulates model work units in thousandths, so the hot
@@ -120,26 +108,21 @@ func NewFunc(cfg FuncConfig, precise Fn, approx []Fn) (*Func, error) {
 		cfg:      cfg,
 		precise:  precise,
 		versions: append([]Fn(nil), approx...),
-		qos:      cfg.QoS,
 		key:      cfg.Key,
-	}
-	if err := f.init("func", ctrlOptions{
-		Name: cfg.Name, SLA: cfg.SLA, SampleInterval: cfg.SampleInterval,
-		Policy: cfg.Policy, OnEvent: cfg.OnEvent,
-		BreakerThreshold: cfg.BreakerThreshold, BreakerCooldown: cfg.BreakerCooldown,
-	}); err != nil {
-		return nil, err
-	}
-	if f.qos == nil {
-		f.qos = defaultFuncQoS
 	}
 	if f.key == nil {
 		f.key = func(x float64) float64 { return x }
 	}
-	f.state.Store(&funcState{
-		ranges:   cfg.Model.Ranges(cfg.SLA),
-		forceOff: cfg.Disabled,
-	})
+	if err := f.initLadder("func", ctrlOptions{
+		Name: cfg.Name, SLA: cfg.SLA, SampleInterval: cfg.SampleInterval,
+		Policy: cfg.Policy, OnEvent: cfg.OnEvent,
+		BreakerThreshold: cfg.BreakerThreshold, BreakerCooldown: cfg.BreakerCooldown,
+	}, len(approx), cfg.QoS, ladderState{
+		ranges:       cfg.Model.Ranges(cfg.SLA),
+		approxSwitch: approxSwitch{forceOff: cfg.Disabled},
+	}); err != nil {
+		return nil, err
+	}
 	return f, nil
 }
 
@@ -150,35 +133,27 @@ func (f *Func) Ranges() []model.Range {
 	return append([]model.Range(nil), st.ranges...)
 }
 
-// Offset returns the current recalibration precision offset.
-func (f *Func) Offset() int { return f.state.Load().offset }
-
-// Level reports the precision offset as the controller's approximation
-// level (the registry's uniform scalar view; see registry.go).
-func (f *Func) Level() float64 { return float64(f.state.Load().offset) }
-
 // selectVersion returns the version index (or model.PreciseVersion) for
-// input x under the snapshot's ranges and offset.
-func (f *Func) selectVersion(st *funcState, x float64) int {
-	if st.disabled || st.forceOff {
+// input x: the Select stage's choice when it made one, otherwise the
+// snapshot's range table shifted by its offset.
+func (f *Func) selectVersion(st *ladderState, sd *selDecision, x float64) int {
+	if sd.selected {
+		// The level is a version index: negative levels are the precise
+		// function, and so is anything past the ladder's end.
+		v := int(sd.level)
+		if v < 0 || v >= len(f.versions) {
+			return model.PreciseVersion
+		}
+		return v
+	}
+	if st.off() {
 		return model.PreciseVersion
 	}
 	k := f.key(x)
 	for i := range st.ranges {
 		r := st.ranges[i]
 		if k >= r.Lo && (k < r.Hi || (k == r.Hi && r.Hi == st.ranges[len(st.ranges)-1].Hi)) {
-			v := r.Version
-			if v == model.PreciseVersion {
-				return v
-			}
-			v += st.offset
-			if v >= len(f.versions) {
-				return model.PreciseVersion
-			}
-			if v < 0 {
-				v = 0
-			}
-			return v
+			return f.shift(st, r.Version)
 		}
 	}
 	// Outside the calibrated domain the model knows nothing: precise.
@@ -215,19 +190,13 @@ func (f *Func) call(x float64, feat Features, useSel bool) float64 {
 	o := f.stageExecute()
 	var sd selDecision
 	if useSel {
-		sd = f.stageSelect(feat, o, st.disabled || st.forceOff)
+		sd = f.stageSelect(feat, o.forced || st.off())
 	}
-	var v int
-	if sd.selected {
-		v = f.clampVersion(sd.level)
-	} else {
-		v = f.selectVersion(st, x)
-	}
+	v := f.selectVersion(st, &sd, x)
 	if o.forced {
 		// Breaker open: forced precise, monitoring suspended.
 		v = model.PreciseVersion
 	}
-
 	if !o.monitor {
 		if v == model.PreciseVersion {
 			f.addWork(f.cfg.Model.PreciseWork)
@@ -236,58 +205,38 @@ func (f *Func) call(x float64, feat Features, useSel bool) float64 {
 		f.addWork(f.cfg.Model.Versions[v].Work)
 		return f.versions[v](x)
 	}
-
-	// Monitored call: run precise; if an approximation was selected, run
-	// it too and measure the loss. The precise call runs bare — a panic
-	// there is the program's own and propagates as it would without
-	// Green — but the extra work the monitored path adds (the approximate
-	// version and the QoS comparator) runs under recover: a panic is
-	// contained, the observation discarded, the breaker charged.
-	yp := f.precise(x)
-	work := f.cfg.Model.PreciseWork
-	loss := 0.0
-	panicked := false
-	if v != model.PreciseVersion {
-		if ya, ok := f.safeApprox(v, x); ok {
-			work += f.cfg.Model.Versions[v].Work
-			if lv, ok := f.safeQoS(yp, ya); ok {
-				loss = lv
-			} else {
-				panicked = true
-			}
-		} else {
-			panicked = true
-		}
-	}
+	y, work := f.member(o, sd, v, x)
 	f.addWork(work)
-
-	f.stageObserveCorrect(o, loss, panicked, sd, func(st *funcState, a Action) float64 {
-		applyOffsetAction(&st.offset, &st.disabled, a, len(f.versions))
-		return float64(st.offset)
-	})
-	return yp
+	return y
 }
 
-// clampVersion maps a Select-stage level onto the version ladder:
-// negative levels are the precise function, and anything past the
-// ladder's end is precise too.
-func (f *Func) clampVersion(level float64) int {
-	v := int(level)
-	if v < 0 || v >= len(f.versions) {
-		return model.PreciseVersion
+// member runs one monitored call of version v at x through the ladder
+// core and returns the precise result with the model work it cost: the
+// precise version, plus version v when it ran to completion. Call and
+// CallN share it.
+func (f *Func) member(o obs, sd selDecision, v int, x float64) (y, work float64) {
+	y, approxRan := f.callMonitored(o, sd, v, func(v int) float64 {
+		if v == model.PreciseVersion {
+			return f.precise(x)
+		}
+		return f.versions[v](x)
+	})
+	work = f.cfg.Model.PreciseWork
+	if approxRan {
+		work += f.cfg.Model.Versions[v].Work
 	}
-	return v
+	return y, work
 }
 
 // CallN evaluates the function at each xs[i], writing results into
 // ys[i]: the batched Call. The approximation snapshot is loaded once,
 // one sampling decision covers the batch (monitoring a deterministic
-// member — see beginBatchObservation), and the execution counter and
-// work accounting fold into one atomic add each per batch instead of
-// one per call. Monitored-member semantics are exactly Call's: precise
-// and approximate both run, the loss feeds the policy immediately, and
-// the remaining members see the post-recalibration snapshot. ys must be
-// at least as long as xs.
+// member — see stageExecuteBatch), and the execution counter and work
+// accounting fold into one atomic add each per batch instead of one per
+// call. Monitored-member semantics are exactly Call's: precise and
+// approximate both run, the loss feeds the policy immediately, and the
+// remaining members see the post-recalibration snapshot. ys must be at
+// least as long as xs.
 func (f *Func) CallN(xs, ys []float64) error {
 	return f.callN(xs, ys, Features{}, false)
 }
@@ -312,7 +261,7 @@ func (f *Func) callN(xs, ys []float64, feat Features, useSel bool) error {
 	o := f.stageExecuteBatch(n)
 	var sd selDecision
 	if useSel {
-		sd = f.stageSelect(feat, obs{forced: o.forced}, st.disabled || st.forceOff)
+		sd = f.stageSelect(feat, o.forced || st.off())
 	}
 	if o.forced {
 		// Breaker open: the whole batch runs precise, monitoring
@@ -326,12 +275,7 @@ func (f *Func) callN(xs, ys []float64, feat Features, useSel bool) error {
 	work := 0.0
 	for i := 0; i < n; i++ {
 		x := xs[i]
-		var v int
-		if sd.selected {
-			v = f.clampVersion(sd.level)
-		} else {
-			v = f.selectVersion(st, x)
-		}
+		v := f.selectVersion(st, &sd, x)
 		if i != o.monitorAt {
 			if v == model.PreciseVersion {
 				work += f.cfg.Model.PreciseWork
@@ -342,55 +286,15 @@ func (f *Func) callN(xs, ys []float64, feat Features, useSel bool) error {
 			}
 			continue
 		}
-		// Monitored member: Call's monitored path, inline.
-		yp := f.precise(x)
-		work += f.cfg.Model.PreciseWork
-		loss := 0.0
-		panicked := false
-		if v != model.PreciseVersion {
-			if ya, ok := f.safeApprox(v, x); ok {
-				work += f.cfg.Model.Versions[v].Work
-				if lv, ok := f.safeQoS(yp, ya); ok {
-					loss = lv
-				} else {
-					panicked = true
-				}
-			} else {
-				panicked = true
-			}
-		}
-		ys[i] = yp
-		f.stageObserveCorrect(obs{seq: o.first + int64(i), monitor: true, probe: o.probe}, loss, panicked, sd,
-			func(st *funcState, a Action) float64 {
-				applyOffsetAction(&st.offset, &st.disabled, a, len(f.versions))
-				return float64(st.offset)
-			})
+		y, w := f.member(obs{seq: o.first + int64(i), monitor: true, probe: o.probe}, sd, v, x)
+		ys[i] = y
+		work += w
 		// The observation may have moved the offset: later members read
 		// the fresh snapshot, exactly as unbatched Calls would.
 		st = f.state.Load()
 	}
 	f.addWork(work)
 	return nil
-}
-
-// safeApprox runs approximate version v under recover.
-func (f *Func) safeApprox(v int, x float64) (y float64, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			y, ok = 0, false
-		}
-	}()
-	return f.versions[v](x), true
-}
-
-// safeQoS runs the QoS comparator under recover.
-func (f *Func) safeQoS(yp, ya float64) (loss float64, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			loss, ok = 0, false
-		}
-	}()
-	return f.qos(yp, ya), true
 }
 
 func (f *Func) addWork(w float64) {
@@ -406,28 +310,6 @@ func (f *Func) Work() float64 {
 
 // WorkReset clears the accumulated work counter.
 func (f *Func) WorkReset() { f.workMilli.Store(0) }
-
-// IncreaseAccuracy implements Unit.
-func (f *Func) IncreaseAccuracy() bool {
-	changed := false
-	f.mutate(func(st *funcState) {
-		before := st.offset
-		applyOffsetAction(&st.offset, &st.disabled, ActIncrease, len(f.versions))
-		changed = st.offset != before
-	})
-	return changed
-}
-
-// DecreaseAccuracy implements Unit.
-func (f *Func) DecreaseAccuracy() bool {
-	changed := false
-	f.mutate(func(st *funcState) {
-		before := st.offset
-		applyOffsetAction(&st.offset, &st.disabled, ActDecrease, len(f.versions))
-		changed = st.offset != before
-	})
-	return changed
-}
 
 // Sensitivity implements Unit: the mean modeled loss improvement per unit
 // of relative work increase when shifting every selected version one step
@@ -465,24 +347,4 @@ func (f *Func) Sensitivity() float64 {
 		return 0
 	}
 	return dLoss / dWork
-}
-
-// DisableApprox implements Unit. The disable is sticky — recalibration
-// pressure does not re-enable it; only EnableApprox does.
-func (f *Func) DisableApprox() {
-	f.mutate(func(st *funcState) { st.forceOff = true })
-}
-
-// EnableApprox re-enables approximation after DisableApprox.
-func (f *Func) EnableApprox() {
-	f.mutate(func(st *funcState) {
-		st.forceOff = false
-		st.disabled = false
-	})
-}
-
-// ApproxEnabled implements Unit.
-func (f *Func) ApproxEnabled() bool {
-	st := f.state.Load()
-	return !st.disabled && !st.forceOff
 }

@@ -107,13 +107,7 @@ type LoopConfig struct {
 type loopState struct {
 	level    float64 // current static threshold M
 	adaptive model.AdaptiveParams
-	disabled bool
-
-	// forceOff is the sticky disable: set by cfg.Disabled or
-	// DisableApprox, cleared only by EnableApprox. The model-driven
-	// disabled flag (unsatisfiable SLA) can instead be cleared by
-	// recalibration pressure.
-	forceOff bool
+	approxSwitch
 }
 
 // Loop is an approximable loop: the operational-phase object synthesized
@@ -163,7 +157,7 @@ func NewLoop(cfg LoopConfig) (*Loop, error) {
 	}); err != nil {
 		return nil, err
 	}
-	st := loopState{forceOff: cfg.Disabled}
+	st := loopState{approxSwitch: approxSwitch{forceOff: cfg.Disabled}}
 	levels := cfg.Model.Levels()
 	if l.minLevel == 0 && len(levels) > 0 {
 		l.minLevel = levels[0]
@@ -238,33 +232,224 @@ func (l *Loop) SetAdaptive(p model.AdaptiveParams) error {
 	return nil
 }
 
-// LoopExec is the per-execution state of one run of the approximated
-// loop: the code Figure 3 inlines around the loop body. Handles are
-// pooled: Begin draws one, Finish recycles it, so a handle must not be
-// retained or used after Finish (greenlint's beginfinish check enforces
-// the pairing; DESIGN.md §8 documents the contract).
-type LoopExec struct {
-	loop       *Loop
-	qos        LoopQoS
-	delta      DeltaQoS // nil in static mode or when qos lacks Delta
-	monitor    bool
-	level      float64
-	adaptive   model.AdaptiveParams
-	mode       LoopMode
-	disabled   bool
-	seq        int64 // execution sequence number (breaker cool-down clock)
-	probe      bool  // this execution is the breaker's half-open probe
-	panicked   bool  // a QoS callback panicked and was contained
-	wouldStop  int   // iteration at which the approximation decided to stop
-	recorded   bool  // Record already called for wouldStop
-	terminated bool  // loop actually terminated early
+// loopMember is the per-member state machine LoopExec and LoopBatch
+// share: one execution of the approximated loop, the code Figure 3
+// inlines around the loop body (a batch runs its members through it one
+// after another). It holds the snapshot view the member runs under, the
+// Select-stage decision, and the member's flags, and it owns the only
+// copies of the synthesized stop decision (approxSaysStop), its
+// recovered callbacks, Continue's decision (continueSlow), and the
+// monitored end-of-member observation.
+type loopMember struct {
+	// fast marks the common case — static mode, non-monitored member,
+	// approximation enabled — whose Continue check (fast, then level)
+	// is small enough to inline at the call site. It sits beside level
+	// so that check reads one cache line.
+	fast bool
 
-	// Select-stage decision (ExecFeat): the Features and level the
-	// Selector chose, routed back through the Correct stage when this
-	// execution is monitored.
-	feat     Features
-	selLevel float64
-	selected bool
+	// The approximation snapshot view: the level, the adaptive
+	// parameters, and whether approximation is off (disabled by the
+	// model or the operator, or forced precise by the breaker).
+	level    float64
+	adaptive model.AdaptiveParams
+	mode     LoopMode
+	disabled bool
+
+	// sel is the Select stage's decision (ExecFeat, ExecNFeat): a chosen
+	// level overrides the snapshot's, and a monitored member routes its
+	// loss back to the chosen bucket through the Correct stage.
+	sel selDecision
+
+	seq        int64 // sequence number (breaker cool-down clock)
+	probe      bool  // the breaker's half-open probe
+	monitor    bool
+	panicked   bool // a QoS callback panicked and was contained
+	recorded   bool // Record already called for wouldStop
+	terminated bool // the loop actually terminated early
+	wouldStop  int  // iteration at which the approximation decided to stop
+
+	loop  *Loop
+	qos   LoopQoS
+	delta DeltaQoS // nil in static mode
+}
+
+// deltaFor validates qos for this loop's mode: it must be non-nil, and in
+// Adaptive mode it must implement DeltaQoS (returned; nil otherwise).
+func (l *Loop) deltaFor(qos LoopQoS) (DeltaQoS, error) {
+	if qos == nil {
+		return nil, errors.New("core: nil LoopQoS")
+	}
+	if l.cfg.Mode != Adaptive {
+		return nil, nil
+	}
+	d, ok := qos.(DeltaQoS)
+	if !ok {
+		return nil, errors.New("core: adaptive mode requires DeltaQoS")
+	}
+	return d, nil
+}
+
+// open is the front half every entry point shares once its Execute stage
+// has run (forced reports that the breaker forces precise): load the
+// snapshot, run the Select stage when useSel is set, and install the
+// view the members start from.
+func (m *loopMember) open(l *Loop, qos LoopQoS, delta DeltaQoS, forced bool, f Features, useSel bool) {
+	st := l.state.Load()
+	var sd selDecision
+	if useSel {
+		sd = l.stageSelect(f, forced || st.off())
+	}
+	*m = loopMember{loop: l, qos: qos, delta: delta, mode: l.cfg.Mode, sel: sd}
+	m.view(st, forced)
+}
+
+// view installs a snapshot's approximation parameters. A Select-stage
+// choice overrides the level: in static mode the chosen level is the
+// termination threshold M; in adaptive mode it replaces the iteration
+// floor while the Delta law still decides the exact stop.
+func (m *loopMember) view(st *loopState, forced bool) {
+	m.level, m.adaptive = st.level, st.adaptive
+	m.disabled = forced || st.off()
+	if m.sel.selected && !m.disabled {
+		if m.mode == Adaptive {
+			m.adaptive.M = m.sel.level
+		} else {
+			m.level = m.sel.level
+		}
+	}
+}
+
+// start resets the per-member flags for the next member.
+func (m *loopMember) start(monitor bool) {
+	m.monitor = monitor
+	m.panicked = false
+	m.recorded = false
+	m.terminated = false
+	m.wouldStop = -1
+	m.fast = !monitor && !m.disabled && m.mode == Static
+}
+
+// approxSaysStop is the synthesized QoS_Lp_Approx (Figure 5): should the
+// loop terminate early at iteration i?
+func (m *loopMember) approxSaysStop(i int) bool {
+	if m.disabled {
+		return false
+	}
+	switch m.mode {
+	case Static:
+		return float64(i) >= m.level
+	default: // Adaptive
+		if m.adaptive.Period < 1 {
+			return false // no viable adaptive parameters: run precisely
+		}
+		if float64(i) < m.adaptive.M {
+			return false
+		}
+		if i > 0 && i%int(m.adaptive.Period) == 0 {
+			return m.delta.Delta(i) <= m.adaptive.TargetDelta
+		}
+		return false
+	}
+}
+
+// safeStop runs approxSaysStop under recover: on the monitored path a
+// panicking DeltaQoS.Delta is contained rather than propagated, the
+// observation is marked failed, and the loop runs to its natural end.
+func (m *loopMember) safeStop(i int) (stop bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			m.panicked = true
+			stop = false
+		}
+	}()
+	return m.approxSaysStop(i)
+}
+
+// safeRecord runs LoopQoS.Record under recover and reports whether it
+// completed without panicking.
+func (m *loopMember) safeRecord(i int) (ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			m.panicked = true
+			ok = false
+		}
+	}()
+	m.qos.Record(i)
+	return true
+}
+
+// safeLoss runs LoopQoS.Loss under recover.
+func (m *loopMember) safeLoss(finalIter int) (loss float64, ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			m.panicked = true
+			loss, ok = 0, false
+		}
+	}()
+	return m.qos.Loss(finalIter), true
+}
+
+// continueSlow is Continue for everything off the fast path: monitored
+// members, adaptive mode, disabled approximation, and the iteration at
+// which a static member terminates. LoopExec.Continue and
+// LoopBatch.Continue each test the fast path themselves — a flag and a
+// float compare — so it inlines at the call site and returns without a
+// branch back through a shared epilogue.
+func (m *loopMember) continueSlow(i int) bool {
+	if m.monitor {
+		// Once the record point is captured there is nothing left to
+		// decide — the loop runs to its natural end regardless — so the
+		// remaining iterations skip the threshold/Delta computation. A
+		// contained panic likewise stops further callback probing.
+		if m.recorded || m.panicked {
+			return true
+		}
+		if m.safeStop(i) && m.safeRecord(i) {
+			m.recorded = true
+			m.wouldStop = i
+		}
+		return true
+	}
+	if m.terminated {
+		return false
+	}
+	if m.approxSaysStop(i) {
+		m.fast = false // terminated: keep later calls off the fast path
+		m.terminated = true
+		m.wouldStop = i
+		return false
+	}
+	return true
+}
+
+// observe completes a monitored member: it measures the loss via
+// LoopQoS.Loss (only when the stop point was recorded cleanly) and hands
+// the observation to the Observe and Correct stages. A contained panic
+// is a failed observation: it was discarded and charged to the breaker,
+// so the result reports ContainedPanic with zero loss.
+func (m *loopMember) observe(finalIter int) Result {
+	res := Result{Approximated: m.terminated, Monitored: true, StoppedAt: m.wouldStop}
+	loss := 0.0
+	if m.recorded && !m.panicked {
+		loss, _ = m.safeLoss(finalIter)
+	}
+	o := obs{seq: m.seq, monitor: true, probe: m.probe}
+	res.Recalibrated = m.loop.stageObserveCorrect(o, loss, m.panicked, m.sel, m.loop.applyAction)
+	if m.panicked {
+		res.ContainedPanic = true
+	} else {
+		res.Loss = loss
+	}
+	return res
+}
+
+// LoopExec is the per-execution handle of one run of the approximated
+// loop. Handles are pooled: Begin draws one, Finish recycles it, so a
+// handle must not be retained or used after Finish (greenlint's
+// beginfinish check enforces the pairing; DESIGN.md §8 documents the
+// contract).
+type LoopExec struct {
+	loopMember
 }
 
 // execPool recycles LoopExec objects so steady-state executions are
@@ -293,122 +478,20 @@ func (l *Loop) ExecFeat(qos LoopQoS, f Features) (*LoopExec, error) {
 	return l.begin(qos, f, true)
 }
 
-// begin is the shared Select+Execute front half of the pipeline.
+// begin runs the unbatched Execute stage around the shared front half.
+// A forced-precise execution (breaker open) has monitoring suspended, so
+// the faulty callbacks stop running.
 func (l *Loop) begin(qos LoopQoS, f Features, useSel bool) (*LoopExec, error) {
-	if qos == nil {
-		return nil, errors.New("core: nil LoopQoS")
+	delta, err := l.deltaFor(qos)
+	if err != nil {
+		return nil, err
 	}
-	var delta DeltaQoS
-	if l.cfg.Mode == Adaptive {
-		d, ok := qos.(DeltaQoS)
-		if !ok {
-			return nil, errors.New("core: adaptive mode requires DeltaQoS")
-		}
-		delta = d
-	}
-	st := l.state.Load()
 	o := l.stageExecute()
-	disabled := st.disabled || st.forceOff
-	if o.forced {
-		// Breaker open: forced precise, and monitoring suspended so the
-		// faulty callbacks stop running (stageExecute already cleared
-		// o.monitor).
-		disabled = true
-	}
-	var sd selDecision
-	if useSel {
-		sd = l.stageSelect(f, o, disabled)
-	}
 	e := execPool.Get().(*LoopExec)
-	*e = LoopExec{
-		loop:      l,
-		qos:       qos,
-		delta:     delta,
-		monitor:   o.monitor,
-		level:     st.level,
-		adaptive:  st.adaptive,
-		mode:      l.cfg.Mode,
-		disabled:  disabled,
-		seq:       o.seq,
-		probe:     o.probe,
-		wouldStop: -1,
-		feat:      sd.feat,
-		selLevel:  sd.level,
-		selected:  sd.selected,
-	}
-	if sd.selected {
-		// The Select stage chose this execution's level: in static mode
-		// the chosen level is the termination threshold M; in adaptive
-		// mode it replaces the iteration floor while the Delta law still
-		// decides the exact stop.
-		if l.cfg.Mode == Adaptive {
-			e.adaptive.M = sd.level
-		} else {
-			e.level = sd.level
-		}
-	}
+	e.open(l, qos, delta, o.forced, f, useSel)
+	e.seq, e.probe = o.seq, o.probe
+	e.start(o.monitor)
 	return e, nil
-}
-
-// approxSaysStop is the synthesized QoS_Lp_Approx (Figure 5): should the
-// loop terminate early at iteration i?
-func (e *LoopExec) approxSaysStop(i int) bool {
-	if e.disabled {
-		return false
-	}
-	switch e.mode {
-	case Static:
-		return float64(i) >= e.level
-	default: // Adaptive
-		if e.adaptive.Period < 1 {
-			return false // no viable adaptive parameters: run precisely
-		}
-		if float64(i) < e.adaptive.M {
-			return false
-		}
-		if i > 0 && i%int(e.adaptive.Period) == 0 {
-			improve := e.delta.Delta(i)
-			return improve <= e.adaptive.TargetDelta
-		}
-		return false
-	}
-}
-
-// safeStop runs approxSaysStop under recover: on the monitored path a
-// panicking DeltaQoS.Delta is contained rather than propagated, the
-// observation is marked failed, and the loop runs to its natural end.
-func (e *LoopExec) safeStop(i int) (stop bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.panicked = true
-			stop = false
-		}
-	}()
-	return e.approxSaysStop(i)
-}
-
-// safeRecord runs LoopQoS.Record under recover and reports whether it
-// completed without panicking.
-func (e *LoopExec) safeRecord(i int) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.panicked = true
-			ok = false
-		}
-	}()
-	e.qos.Record(i)
-	return true
-}
-
-// safeLoss runs LoopQoS.Loss under recover.
-func (e *LoopExec) safeLoss(finalIter int) (loss float64, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.panicked = true
-			loss, ok = 0, false
-		}
-	}()
-	return e.qos.Loss(finalIter), true
 }
 
 // Continue reports whether the loop body should run iteration i. In a
@@ -422,31 +505,10 @@ func (e *LoopExec) safeLoss(finalIter int) (loss float64, ok bool) {
 // under recover: a panic is contained, counted as a failed observation,
 // and the execution completes precisely.
 func (e *LoopExec) Continue(i int) bool {
-	if e.monitor {
-		// Once the record point is captured there is nothing left to
-		// decide — the loop runs to its natural end regardless — so the
-		// remaining iterations skip the threshold/Delta computation. A
-		// contained panic likewise stops further callback probing.
-		if e.recorded || e.panicked {
-			return true
-		}
-		if e.safeStop(i) {
-			if e.safeRecord(i) {
-				e.recorded = true
-				e.wouldStop = i
-			}
-		}
+	if e.fast && float64(i) < e.level {
 		return true
 	}
-	if e.terminated {
-		return false
-	}
-	if e.approxSaysStop(i) {
-		e.terminated = true
-		e.wouldStop = i
-		return false
-	}
-	return true
+	return e.continueSlow(i)
 }
 
 // Result summarizes one finished execution.
@@ -477,42 +539,21 @@ type Result struct {
 // decision. Finish recycles the execution handle; the handle must not be
 // used again afterwards.
 func (e *LoopExec) Finish(finalIter int) Result {
-	l := e.loop
-	if l == nil {
+	if e.loop == nil {
 		// Finish on an already-recycled handle: report an empty result
 		// rather than corrupting the pool with a double Put.
 		return Result{StoppedAt: -1}
 	}
-	res := Result{
-		Approximated: e.terminated,
-		Monitored:    e.monitor,
-		StoppedAt:    e.wouldStop,
-	}
 	if !e.monitor {
+		res := Result{Approximated: e.terminated, StoppedAt: e.wouldStop}
 		e.release()
 		return res
 	}
-	loss := 0.0
-	if e.recorded && !e.panicked {
-		loss, _ = e.safeLoss(finalIter)
-	}
-	o := obs{seq: e.seq, monitor: true, probe: e.probe}
-	sd := selDecision{feat: e.feat, level: e.selLevel, selected: e.selected}
-	panicked := e.panicked
-	res.Loss = loss
+	// The handle goes back to the pool before the policy and the event
+	// hook run; the observation completes on a copy of the member.
+	m := e.loopMember
 	e.release()
-
-	res.Recalibrated = l.stageObserveCorrect(o, loss, panicked, sd, func(st *loopState, a Action) float64 {
-		l.applyAction(st, a)
-		return st.level
-	})
-	if panicked {
-		// Failed observation: its loss value would be garbage, so it was
-		// discarded and charged to the breaker (finishObservation).
-		res.Loss = 0
-		res.ContainedPanic = true
-	}
-	return res
+	return m.observe(finalIter)
 }
 
 // release zeroes the handle (dropping its qos and loop references) and
@@ -523,11 +564,11 @@ func (e *LoopExec) release() {
 }
 
 // applyAction adjusts the snapshot's approximation level for a
-// recalibration action. Static mode moves the threshold M by one step (as
-// in Figure 14, where M grows by 0.1N per adjustment); adaptive mode
-// halves or doubles TargetDelta (requiring more or less improvement to
-// continue).
-func (l *Loop) applyAction(st *loopState, a Action) {
+// recalibration action and returns the new level. Static mode moves the
+// threshold M by one step (as in Figure 14, where M grows by 0.1N per
+// adjustment); adaptive mode halves or doubles TargetDelta (requiring
+// more or less improvement to continue).
+func (l *Loop) applyAction(st *loopState, a Action) float64 {
 	switch a {
 	case ActIncrease:
 		if l.cfg.Mode == Adaptive && st.adaptive.Period > 0 {
@@ -542,31 +583,16 @@ func (l *Loop) applyAction(st *loopState, a Action) {
 		st.level = math.Max(st.level-l.step, l.minLevel)
 		st.disabled = false
 	}
+	return st.level
 }
 
 // The Unit interface (global coordination, app.go).
 
 // IncreaseAccuracy implements Unit.
-func (l *Loop) IncreaseAccuracy() bool {
-	changed := false
-	l.mutate(func(st *loopState) {
-		before := st.level
-		l.applyAction(st, ActIncrease)
-		changed = st.level != before
-	})
-	return changed
-}
+func (l *Loop) IncreaseAccuracy() bool { return l.adjust(ActIncrease, l.applyAction) }
 
 // DecreaseAccuracy implements Unit.
-func (l *Loop) DecreaseAccuracy() bool {
-	changed := false
-	l.mutate(func(st *loopState) {
-		before := st.level
-		l.applyAction(st, ActDecrease)
-		changed = st.level != before
-	})
-	return changed
-}
+func (l *Loop) DecreaseAccuracy() bool { return l.adjust(ActDecrease, l.applyAction) }
 
 // Sensitivity implements Unit: the modeled QoS-loss change per unit of
 // relative work change around the current level. Global recalibration
@@ -584,25 +610,4 @@ func (l *Loop) Sensitivity() float64 {
 		return 0
 	}
 	return (lossNow - lossUp) / dWork
-}
-
-// DisableApprox implements Unit: revert to the precise loop. The disable
-// is sticky — recalibration pressure does not re-enable it; only
-// EnableApprox does.
-func (l *Loop) DisableApprox() {
-	l.mutate(func(st *loopState) { st.forceOff = true })
-}
-
-// EnableApprox re-enables approximation after DisableApprox.
-func (l *Loop) EnableApprox() {
-	l.mutate(func(st *loopState) {
-		st.forceOff = false
-		st.disabled = false
-	})
-}
-
-// ApproxEnabled implements Unit.
-func (l *Loop) ApproxEnabled() bool {
-	st := l.state.Load()
-	return !st.disabled && !st.forceOff
 }

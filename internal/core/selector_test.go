@@ -594,8 +594,8 @@ func TestLoopExecFeatAdaptiveFloor(t *testing.T) {
 	}
 	// In adaptive mode the selected level replaces the iteration floor M;
 	// the Delta law still decides the exact stop.
-	if !e.selected || e.adaptive.M != 800 {
-		t.Errorf("adaptive floor = %v (selected=%v), want 800", e.adaptive.M, e.selected)
+	if !e.sel.selected || e.adaptive.M != 800 {
+		t.Errorf("adaptive floor = %v (selected=%v), want 800", e.adaptive.M, e.sel.selected)
 	}
 	e.Finish(0)
 }

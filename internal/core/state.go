@@ -82,7 +82,7 @@ func (l *Loop) State() LoopState {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := l.state.Load()
-	s := LoopState{
+	return LoopState{
 		Name:      l.cfg.Name,
 		Level:     st.level,
 		Interval:  int(l.interval.Load()),
@@ -93,12 +93,8 @@ func (l *Loop) State() LoopState {
 		LossSum:   l.lossSum(),
 		AdaptiveM: st.adaptive.M, AdaptivePer: st.adaptive.Period,
 		AdaptiveDelta: st.adaptive.TargetDelta,
+		Selector:      l.selectorState(),
 	}
-	if sel := l.Selector(); sel != nil {
-		ss := sel.State()
-		s.Selector = &ss
-	}
-	return s
 }
 
 // Restore applies a previously snapshotted state. The state must belong
@@ -122,22 +118,12 @@ func (l *Loop) Restore(s LoopState) error {
 		return fmt.Errorf("core: loop state: implausible adaptive parameters (M=%v Period=%v TargetDelta=%v)",
 			s.AdaptiveM, s.AdaptivePer, s.AdaptiveDelta)
 	}
-	// Selector section, version skew both ways: a pre-selector snapshot
-	// (section absent) restores fail-soft — reactive law intact,
-	// selector state cold — and a selector-bearing snapshot restores
-	// into a selector-less controller by dropping the section. A present
-	// section that fails validation rejects the whole restore before
-	// anything mutates.
-	sel := l.Selector()
-	if s.Selector != nil && sel != nil {
-		if err := sel.Restore(*s.Selector); err != nil {
-			return err
-		}
+	if err := l.restoreSelector(s.Selector); err != nil {
+		return err
 	}
 	l.restoreCounters(int64(s.Interval), s.Count, s.Monitored, s.LossSum, func(next *loopState) {
 		next.level = s.Level
-		next.disabled = s.Disabled
-		next.forceOff = s.ForceOff
+		next.approxSwitch = approxSwitch{disabled: s.Disabled, forceOff: s.ForceOff}
 		next.adaptive.M = s.AdaptiveM
 		next.adaptive.Period = s.AdaptivePer
 		next.adaptive.TargetDelta = s.AdaptiveDelta
@@ -181,55 +167,34 @@ type FuncState struct {
 
 // State snapshots the function controller's runtime state.
 func (f *Func) State() FuncState {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	st := f.state.Load()
-	s := FuncState{
-		Name:      f.cfg.Name,
-		Offset:    st.offset,
-		Interval:  f.interval.Load(),
-		Disabled:  st.disabled,
-		ForceOff:  st.forceOff,
-		Count:     f.count.Load(),
-		Monitored: f.monitored.Load(),
-		LossSum:   f.lossSum(),
+	c := f.snapshot(f.cfg.Name)
+	return FuncState{
+		Name: c.Name, Offset: c.Offset, Interval: c.Interval,
+		Disabled: c.Disabled, ForceOff: c.ForceOff,
+		Count: c.Count, Monitored: c.Monitored, LossSum: c.LossSum,
 		WorkMilli: f.workMilli.Load(),
+		Selector:  f.selectorState(),
 	}
-	if sel := f.Selector(); sel != nil {
-		ss := sel.State()
-		s.Selector = &ss
-	}
-	return s
 }
 
 // Restore applies a previously snapshotted state. The state must belong
 // to a function with the same name, and the offset must be within the
 // controller's ladder.
 func (f *Func) Restore(s FuncState) error {
-	if s.Name != f.cfg.Name {
-		return fmt.Errorf("core: state for %q cannot restore func %q", s.Name, f.cfg.Name)
+	c := Func2State{
+		Name: s.Name, Offset: s.Offset, Interval: s.Interval,
+		Disabled: s.Disabled, ForceOff: s.ForceOff,
+		Count: s.Count, Monitored: s.Monitored, LossSum: s.LossSum,
 	}
-	if err := validateOffset("func", s.Offset, len(f.versions)); err != nil {
-		return err
-	}
-	if err := validateCounters("func", s.Interval, s.Count, s.Monitored, s.LossSum); err != nil {
-		return err
-	}
-	if s.WorkMilli < 0 {
-		return fmt.Errorf("core: func state: negative accumulated work %d", s.WorkMilli)
-	}
-	// Selector section: same skew rules as Loop.Restore.
-	sel := f.Selector()
-	if s.Selector != nil && sel != nil {
-		if err := sel.Restore(*s.Selector); err != nil {
-			return err
+	err := f.restore("func", f.cfg.Name, c, func() error {
+		if s.WorkMilli < 0 {
+			return fmt.Errorf("core: func state: negative accumulated work %d", s.WorkMilli)
 		}
-	}
-	f.restoreCounters(s.Interval, s.Count, s.Monitored, s.LossSum, func(next *funcState) {
-		next.offset = s.Offset
-		next.disabled = s.Disabled
-		next.forceOff = s.ForceOff
+		return f.restoreSelector(s.Selector)
 	})
+	if err != nil {
+		return err
+	}
 	f.workMilli.Store(s.WorkMilli)
 	return nil
 }
@@ -261,41 +226,13 @@ type Func2State struct {
 }
 
 // State snapshots the two-parameter controller's runtime state.
-func (f *Func2) State() Func2State {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	st := f.state.Load()
-	return Func2State{
-		Name:      f.cfg.Name,
-		Offset:    st.offset,
-		Interval:  f.interval.Load(),
-		Disabled:  st.disabled,
-		ForceOff:  st.forceOff,
-		Count:     f.count.Load(),
-		Monitored: f.monitored.Load(),
-		LossSum:   f.lossSum(),
-	}
-}
+func (f *Func2) State() Func2State { return f.snapshot(f.cfg.Name) }
 
 // Restore applies a previously snapshotted state. The state must belong
 // to a controller with the same name, and the offset must be within the
 // version ladder.
 func (f *Func2) Restore(s Func2State) error {
-	if s.Name != f.cfg.Name {
-		return fmt.Errorf("core: state for %q cannot restore func2 %q", s.Name, f.cfg.Name)
-	}
-	if err := validateOffset("func2", s.Offset, len(f.versions)); err != nil {
-		return err
-	}
-	if err := validateCounters("func2", s.Interval, s.Count, s.Monitored, s.LossSum); err != nil {
-		return err
-	}
-	f.restoreCounters(s.Interval, s.Count, s.Monitored, s.LossSum, func(next *func2State) {
-		next.offset = s.Offset
-		next.disabled = s.Disabled
-		next.forceOff = s.ForceOff
-	})
-	return nil
+	return f.restore("func2", f.cfg.Name, s, nil)
 }
 
 // MarshalState serializes the controller state as JSON.

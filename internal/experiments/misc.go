@@ -10,6 +10,9 @@ import (
 	"green/internal/workload"
 )
 
+// overheadReps is how many times runOverhead times each side.
+const overheadReps = 5
+
 func init() {
 	register("overhead", "Green runtime overhead with approximation forced off (§4.1)", runOverhead)
 	register("backoff", "global recalibration under non-linear interaction (§3.4.2)", runBackoff)
@@ -34,16 +37,6 @@ func runOverhead(o Options) (*Table, error) {
 		return acc + x
 	}
 
-	// Plain version.
-	plainStart := time.Now() //greenlint:ignore nondet the experiment's purpose is measuring real wall-clock overhead
-	sinkPlain := 0.0
-	for run := 0; run < iterations; run++ {
-		for i := 0; i < base; i++ {
-			sinkPlain = body(i, sinkPlain)
-		}
-	}
-	plain := time.Since(plainStart) //greenlint:ignore nondet the experiment's purpose is measuring real wall-clock overhead
-
 	// Green-instrumented version, approximation disabled, Sample_QoS 1%.
 	pts := []model.CalPoint{
 		{Level: base / 4, QoSLoss: 0.1, Work: base / 4},
@@ -60,24 +53,49 @@ func runOverhead(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	greenStart := time.Now() //greenlint:ignore nondet the experiment's purpose is measuring real wall-clock overhead
-	sinkGreen := 0.0
-	for run := 0; run < iterations; run++ {
-		exec, err := loop.Begin(noopQoS{})
-		if err != nil {
-			return nil, err
-		}
-		i := 0
-		for ; i < base && exec.Continue(i); i++ {
-			sinkGreen = body(i, sinkGreen)
-		}
-		exec.Finish(i)
-	}
-	green := time.Since(greenStart) //greenlint:ignore nondet the experiment's purpose is measuring real wall-clock overhead
 
-	if sinkPlain != sinkGreen {
-		//greenlint:endorse divergence check: the approximate sum is intentionally compared and reported against the precise baseline
-		return nil, fmt.Errorf("overhead experiment diverged: %v vs %v", sinkPlain, sinkGreen)
+	// One timing of each side is at the mercy of whatever else the
+	// machine runs in that window, so the two sides alternate for
+	// overheadReps repetitions and each keeps its fastest: the best time
+	// is the one least disturbed by outside load.
+	var plain, green time.Duration
+	for rep := 0; rep < overheadReps; rep++ {
+		// Plain version.
+		plainStart := time.Now() //greenlint:ignore nondet the experiment's purpose is measuring real wall-clock overhead
+		sinkPlain := 0.0
+		for run := 0; run < iterations; run++ {
+			for i := 0; i < base; i++ {
+				sinkPlain = body(i, sinkPlain)
+			}
+		}
+		dPlain := time.Since(plainStart) //greenlint:ignore nondet the experiment's purpose is measuring real wall-clock overhead
+
+		// Green-instrumented version.
+		greenStart := time.Now() //greenlint:ignore nondet the experiment's purpose is measuring real wall-clock overhead
+		sinkGreen := 0.0
+		for run := 0; run < iterations; run++ {
+			exec, err := loop.Begin(noopQoS{})
+			if err != nil {
+				return nil, err
+			}
+			i := 0
+			for ; i < base && exec.Continue(i); i++ {
+				sinkGreen = body(i, sinkGreen)
+			}
+			exec.Finish(i)
+		}
+		dGreen := time.Since(greenStart) //greenlint:ignore nondet the experiment's purpose is measuring real wall-clock overhead
+
+		if sinkPlain != sinkGreen {
+			//greenlint:endorse divergence check: the approximate sum is intentionally compared and reported against the precise baseline
+			return nil, fmt.Errorf("overhead experiment diverged: %v vs %v", sinkPlain, sinkGreen)
+		}
+		if rep == 0 || dPlain < plain {
+			plain = dPlain
+		}
+		if rep == 0 || dGreen < green {
+			green = dGreen
+		}
 	}
 	ratio := float64(green) / float64(plain)
 	t := &Table{Columns: []string{"variant", "wall time", "relative"}}
@@ -85,7 +103,8 @@ func runOverhead(o Options) (*Table, error) {
 	t.AddRow("green (approx off, 1% sampling)", green.Round(time.Microsecond).String(),
 		fmt.Sprintf("%.3f", ratio))
 	t.AddNote("paper: performance indistinguishable from base at 1%% sampling")
-	t.AddNote("%d runs of a %d-iteration kernel; identical results verified", iterations, base)
+	t.AddNote("best of %d interleaved repetitions of %d runs of a %d-iteration kernel; identical results verified",
+		overheadReps, iterations, base)
 	return t, nil
 }
 

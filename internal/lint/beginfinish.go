@@ -7,31 +7,33 @@ import (
 )
 
 // beginfinish enforces the execution-handle protocol of the loop
-// controller: every *LoopExec obtained from Loop.Begin must reach a
-// Finish call. The paper's generated code (Figure 3) always emits the
-// epilogue; a leaked handle silently disables monitoring and
-// recalibration for that execution, so the SLA guarantee quietly erodes.
+// controller: every *LoopExec obtained from Loop.Begin (or its
+// feature-threading twin Loop.ExecFeat) must reach a Finish call. The
+// paper's generated code (Figure 3) always emits the epilogue; a leaked
+// handle silently disables monitoring and recalibration for that
+// execution, so the SLA guarantee quietly erodes.
 var analyzerBeginFinish = &Analyzer{
 	Name:     "beginfinish",
 	Category: CategoryContract,
 	Tier:     TierBlock,
-	Doc:      "a Loop.Begin execution handle must have Finish called on it",
+	Doc:      "a Loop.Begin/ExecFeat execution handle must have Finish called on it",
 	run:      runBeginFinish,
 }
 
 // execHandle tracks one LoopExec variable within a single function body.
 type execHandle struct {
 	obj       types.Object // nil when the handle is discarded outright
+	src       string       // the producing method: "Loop.Begin" or "Loop.ExecFeat"
 	beginPos  token.Pos
 	finished  bool // exec.Finish(...) seen
 	continued bool // exec.Continue(...) seen
 	escaped   bool // handle leaves the function's direct control
 }
 
-// loopExecHandles finds every Loop.Begin call in body and classifies how
-// its execution handle is used. The analysis is intra-procedural and
-// deliberately conservative: a handle that escapes (returned, stored, or
-// passed elsewhere) is never reported.
+// loopExecHandles finds every Loop.Begin/ExecFeat call in body and
+// classifies how its execution handle is used. The analysis is
+// intra-procedural and deliberately conservative: a handle that escapes
+// (returned, stored, or passed elsewhere) is never reported.
 func loopExecHandles(p *Pass, body *ast.BlockStmt) []*execHandle {
 	var handles []*execHandle
 	byObj := map[types.Object]*execHandle{}
@@ -39,10 +41,14 @@ func loopExecHandles(p *Pass, body *ast.BlockStmt) []*execHandle {
 	// Pass 1: locate Begin calls and the variables bound to them.
 	walkStack(body, func(n ast.Node, stack []ast.Node) {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || !isMethod(calleeOf(p.Info, call), corePath, "Loop", "Begin") {
+		if !ok {
 			return
 		}
-		h := &execHandle{beginPos: call.Pos(), escaped: true}
+		src, ok := loopExecSource(p, call)
+		if !ok {
+			return
+		}
+		h := &execHandle{src: src, beginPos: call.Pos(), escaped: true}
 		if len(stack) > 0 {
 			switch parent := stack[len(stack)-1].(type) {
 			case *ast.ExprStmt:
@@ -119,9 +125,9 @@ func runBeginFinish(p *Pass) {
 			case h.escaped:
 				// Conservative: the handle may be finished elsewhere.
 			case h.obj == nil:
-				p.reportf(h.beginPos, "execution handle from Loop.Begin is discarded; every Begin needs a matching Finish")
+				p.reportf(h.beginPos, "execution handle from %s is discarded; every handle needs a matching Finish", h.src)
 			case !h.finished:
-				p.reportf(h.beginPos, "%s.Finish is never called in this function; the execution handle from Loop.Begin leaks", h.obj.Name())
+				p.reportf(h.beginPos, "%s.Finish is never called in this function; the execution handle from %s leaks", h.obj.Name(), h.src)
 			}
 		}
 	})

@@ -48,7 +48,7 @@ var analyzerFinishPath = &Analyzer{
 	Name:     "finishpath",
 	Category: CategoryContract,
 	Tier:     TierCFG,
-	Doc:      "every control-flow path from Loop.Begin must reach exactly one Finish (early returns included)",
+	Doc:      "every control-flow path from Loop.Begin/ExecFeat must reach exactly one Finish (early returns included)",
 	run:      runFinishPath,
 }
 
@@ -107,7 +107,7 @@ func analyzeFinishPaths(p *Pass, g *CFG, h *trackedHandle) {
 		p.reportf(pos, "%s.Finish may already have run on some path to this call; Finish recycles the handle, a second call corrupts the pool protocol", h.obj.Name())
 	}
 	if in[g.Exit.Index]&hsU != 0 {
-		p.reportf(h.beginPos, "some path from this Loop.Begin reaches a function exit without %s.Finish; every path needs exactly one Finish (or a deferred one)", h.obj.Name())
+		p.reportf(h.beginPos, "some path from this %s reaches a function exit without %s.Finish; every path needs exactly one Finish (or a deferred one)", h.src, h.obj.Name())
 	}
 }
 

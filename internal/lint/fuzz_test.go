@@ -223,6 +223,10 @@ func endorsed(f *core.Func, x float64) error {
 }
 `,
 		"package p\n//greenlint:endorse\n//greenlint:endorse dangling reason\nfunc f() {}\n",
+		// A convergence candidate whose carried variable has an
+		// unresolvable type: the parameter's type names the function
+		// itself, so the accumulator would render as "invalid type".
+		"package A\nfunc A(A[]A)A{ta:=A\nfor ta>A0{ta=0}}",
 		// Syntax-adjacent garbage.
 		"package p\nfunc f() { if { } }\n",
 		"package p\nfunc (",

@@ -5,7 +5,7 @@ import (
 )
 
 // handleescape flags LoopExec handles that outlive the frame that called
-// Loop.Begin. Since the hot-path rework, Finish recycles every handle
+// Loop.Begin or Loop.ExecFeat. Since the hot-path rework, Finish recycles every handle
 // into a sync.Pool; a handle that is returned, parked in a struct or
 // global, or captured by a goroutine can be recycled under its new owner
 // and then observed *reinitialized for a different execution* — a
@@ -21,7 +21,7 @@ var analyzerHandleEscape = &Analyzer{
 	Name:     "handleescape",
 	Category: CategoryContract,
 	Tier:     TierCFG,
-	Doc:      "a pooled Loop.Begin handle must not outlive its frame (returned, stored in a struct/global, or captured by a goroutine)",
+	Doc:      "a pooled Loop.Begin/ExecFeat handle must not outlive its frame (returned, stored in a struct/global, or captured by a goroutine)",
 	run:      runHandleEscape,
 }
 
@@ -36,8 +36,8 @@ func runHandleEscape(p *Pass) {
 				if msg == "" {
 					continue // benign alias/argument: finishpath just skips it
 				}
-				p.reportf(esc.pos, "execution handle %s is %s; Finish recycles handles into a pool, so it must not outlive the frame that called Begin",
-					h.obj.Name(), msg)
+				p.reportf(esc.pos, "execution handle %s is %s; Finish recycles handles into a pool, so it must not outlive the frame that called %s",
+					h.obj.Name(), msg, h.src)
 			}
 		}
 	})

@@ -54,7 +54,7 @@ type escapeUse struct {
 func (e escapeUse) describe() string {
 	switch e.kind {
 	case escReturned:
-		return "returned from the function that called Begin"
+		return "returned from the function"
 	case escStoredField:
 		return "stored in a struct field"
 	case escStoredGlobal:
@@ -73,11 +73,12 @@ func (e escapeUse) describe() string {
 	return ""
 }
 
-// trackedHandle is one LoopExec variable bound from a Loop.Begin call,
-// with every use classified.
+// trackedHandle is one LoopExec variable bound from a Loop.Begin or
+// Loop.ExecFeat call, with every use classified.
 type trackedHandle struct {
 	obj      types.Object // the handle variable; nil when discarded
 	errObj   types.Object // the error variable of the same Begin, if any
+	src      string       // the producing method: "Loop.Begin" or "Loop.ExecFeat"
 	beginPos token.Pos
 	// beginStmt is the statement containing the Begin call (assignment
 	// or expression statement), the node the dataflow keys on.
@@ -98,10 +99,26 @@ type trackedHandle struct {
 // clients must skip such handles.
 func (h *trackedHandle) escaped() bool { return len(h.escapes) > 0 }
 
-// trackHandles finds every Loop.Begin binding in body and classifies all
-// uses of each bound handle. body is analyzed as one frame: uses inside
-// nested function literals are classified as captures, not as inline
-// events (the literal runs at an unknown time relative to Finish).
+// loopExecSource reports whether call produces a pooled *LoopExec and, if
+// so, which Loop method produced it: Begin, or ExecFeat, which returns
+// the same handle under the same Finish contract. beginfinish,
+// finishpath and handleescape all recognize handles through this one
+// predicate.
+func loopExecSource(p *Pass, call *ast.CallExpr) (string, bool) {
+	fn := calleeOf(p.Info, call)
+	for _, m := range [...]string{"Begin", "ExecFeat"} {
+		if isMethod(fn, corePath, "Loop", m) {
+			return "Loop." + m, true
+		}
+	}
+	return "", false
+}
+
+// trackHandles finds every Loop.Begin/ExecFeat binding in body and
+// classifies all uses of each bound handle. body is analyzed as one
+// frame: uses inside nested function literals are classified as
+// captures, not as inline events (the literal runs at an unknown time
+// relative to Finish).
 func trackHandles(p *Pass, body *ast.BlockStmt) []*trackedHandle {
 	var handles []*trackedHandle
 	byObj := map[types.Object]*trackedHandle{}
@@ -110,13 +127,14 @@ func trackHandles(p *Pass, body *ast.BlockStmt) []*trackedHandle {
 	// statement context, if/for init, ...).
 	walkStack(body, func(n ast.Node, stack []ast.Node) {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || !isMethod(calleeOf(p.Info, call), corePath, "Loop", "Begin") {
+		if !ok {
 			return
 		}
-		if inFuncLit(stack, body) {
-			return // a nested frame owns this handle
+		src, ok := loopExecSource(p, call)
+		if !ok || inFuncLit(stack, body) {
+			return // not a handle source, or a nested frame owns this handle
 		}
-		h := &trackedHandle{beginPos: call.Pos(), beginStmt: ast.Node(call)}
+		h := &trackedHandle{src: src, beginPos: call.Pos(), beginStmt: ast.Node(call)}
 		if len(stack) > 0 {
 			if parent, ok := stack[len(stack)-1].(*ast.AssignStmt); ok &&
 				len(parent.Rhs) == 1 && parent.Rhs[0] == ast.Expr(call) {

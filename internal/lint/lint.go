@@ -7,7 +7,7 @@
 // restored here as a suite of AST/type-based analyzers over the package
 // green and green/internal/core APIs:
 //
-//	beginfinish  — every Loop.Begin execution handle must be Finished
+//	beginfinish  — every Loop.Begin/ExecFeat execution handle must be Finished
 //	continuecond — exec.Continue(i) must guard the for condition, with a
 //	               non-constant induction argument
 //	slarange     — literal config fields must be in range (SLA in (0,1],

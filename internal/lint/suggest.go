@@ -296,6 +296,14 @@ type accumOps struct {
 	first    token.Pos
 }
 
+// invalidType reports whether t mentions a type the checker could not
+// resolve. A scaffold declaring such an accumulator would render
+// "invalid type" into its source and not parse, so the variable is no
+// candidate.
+func invalidType(t types.Type) bool {
+	return t != nil && strings.Contains(types.TypeString(t, nil), "invalid type")
+}
+
 // collectAccums indexes every write inside body by target variable. It
 // tracks plain identifiers, indexed identifiers (accum[i] += x), and
 // indexed field selectors (r.accum[i] += x) — the forms the repo's own
@@ -306,7 +314,7 @@ func collectAccums(p *Pass, loop ast.Stmt, body *ast.BlockStmt) []*accumOps {
 	var order []*accumOps
 	record := func(lhs ast.Expr, kind token.Token, rhs ast.Expr) {
 		obj, name, indexed, elem := accumTarget(p.Info, lhs)
-		if obj == nil || skip[obj] {
+		if obj == nil || skip[obj] || invalidType(elem) {
 			return
 		}
 		a := byObj[obj]

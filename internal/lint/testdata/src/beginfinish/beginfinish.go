@@ -61,3 +61,26 @@ func escapes(l *core.Loop, q core.LoopQoS) {
 func finishElsewhere(e *core.LoopExec) {
 	e.Finish(0)
 }
+
+// leakFeat is leak through ExecFeat, which returns the same pooled
+// handle as Begin.
+func leakFeat(l *core.Loop, q core.LoopQoS, f core.Features) {
+	exec, err := l.ExecFeat(q, f) // want "never called in this function; the execution handle from Loop.ExecFeat leaks"
+	if err != nil {
+		return
+	}
+	for i := 0; i < 100 && exec.Continue(i); i++ {
+	}
+}
+
+// okFeat is the correct protocol through ExecFeat.
+func okFeat(l *core.Loop, q core.LoopQoS, f core.Features) {
+	exec, err := l.ExecFeat(q, f)
+	if err != nil {
+		return
+	}
+	i := 0
+	for ; exec.Continue(i); i++ {
+	}
+	exec.Finish(i)
+}

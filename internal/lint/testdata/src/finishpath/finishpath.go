@@ -186,3 +186,18 @@ func suppressedLeak(l *core.Loop, q core.LoopQoS, slow func() bool) error {
 	exec.Finish(i)
 	return nil
 }
+
+// branchLeakFeat is branchLeak through ExecFeat: the handle is finished
+// on one arm only.
+func branchLeakFeat(l *core.Loop, q core.LoopQoS, f core.Features, flag bool) {
+	exec, err := l.ExecFeat(q, f) // want "some path from this Loop.ExecFeat reaches a function exit without exec.Finish"
+	if err != nil {
+		return
+	}
+	i := 0
+	for ; exec.Continue(i); i++ {
+	}
+	if flag {
+		exec.Finish(i)
+	}
+}

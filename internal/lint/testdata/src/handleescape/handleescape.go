@@ -112,3 +112,13 @@ func suppressed(l *core.Loop, q core.LoopQoS) *core.LoopExec {
 	//greenlint:ignore handleescape fixture demonstrating an audited suppression
 	return exec
 }
+
+// returnedFeat is returned through ExecFeat, which hands out the same
+// pooled handle as Begin.
+func returnedFeat(l *core.Loop, q core.LoopQoS, f core.Features) *core.LoopExec {
+	exec, err := l.ExecFeat(q, f)
+	if err != nil {
+		return nil
+	}
+	return exec // want "returned from the function"
+}

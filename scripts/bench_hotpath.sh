@@ -1,8 +1,8 @@
 #!/bin/sh
 # Records the operational-hot-path perf trajectory: runs the
 # BenchmarkLoopHotPath* / BenchmarkLoopExecFeat* / BenchmarkLoopExecN /
-# BenchmarkFuncCallN / BenchmarkFunc2CallN / BenchmarkFunc2HotPath* /
-# BenchmarkServeQPS / BenchmarkClusterScatter /
+# BenchmarkFuncHotPath* / BenchmarkFuncCallN / BenchmarkFunc2CallN /
+# BenchmarkFunc2HotPath* / BenchmarkServeQPS / BenchmarkClusterScatter /
 # BenchmarkCombineSearchSpace / BenchmarkNewEngine / BenchmarkServeNew
 # families and emits one JSON object (ns/op, B/op, allocs/op, and the
 # combination search's evaluated-combos count) suitable for a
@@ -32,7 +32,7 @@ while [ $# -gt 0 ]; do
 	esac
 done
 
-pattern='LoopHotPath|LoopExecFeat|LoopExecN|FuncCallN|Func2CallN|Func2HotPath|ServeQPS|ClusterScatter|CombineSearchSpace|NewEngine|ServeNew'
+pattern='LoopHotPath|LoopExecFeat|LoopExecN|FuncHotPath|FuncCallN|Func2CallN|Func2HotPath|ServeQPS|ClusterScatter|CombineSearchSpace|NewEngine|ServeNew'
 
 raw=""
 i=0

@@ -131,14 +131,14 @@ go test -count 1 -run TestServeWarmPathZeroAlloc ./internal/serve
 
 echo "== hot path stays allocation-free =="
 # The steady-state operational paths (Loop Begin/Continue/Finish, the
-# feature-threading ExecFeat with no selector installed, the unified
-# Func2 Call, and the batched ExecN/CallN tier) must not allocate: one
-# heap object per execution was the regression the controller-core
-# rework removed, and it must not creep back. ns/op is too noisy to
+# feature-threading ExecFeat with no selector installed, the single
+# Func and Func2 Calls, and the batched ExecN/CallN tier) must not
+# allocate: one heap object per execution was the regression the
+# controller-core rework removed, and it must not creep back. ns/op is too noisy to
 # gate on shared runners; allocs/op is exact. ServeQPS rides along as
 # the end-to-end smoke row: it must run and stay allocation-free per
 # warm request.
-go test -run xxx -bench 'LoopHotPath/steady|LoopExecFeat/steady|Func2HotPath/steady|LoopExecN/steady|FuncCallN/steady|Func2CallN/steady|ServeQPS' \
+go test -run xxx -bench 'LoopHotPath/steady|LoopExecFeat/steady|FuncHotPath/steady|Func2HotPath/steady|LoopExecN/steady|FuncCallN/steady|Func2CallN/steady|ServeQPS' \
 	-benchmem -benchtime 100x -count 1 . | awk '
 	/^Benchmark/ {
 		for (i = 2; i <= NF; i++) {
@@ -150,7 +150,7 @@ go test -run xxx -bench 'LoopHotPath/steady|LoopExecFeat/steady|Func2HotPath/ste
 		seen++
 	}
 	END {
-		if (seen < 7) { print "FAIL: expected 7 steady-path benchmarks, saw " seen; exit 1 }
+		if (seen < 8) { print "FAIL: expected 8 steady-path benchmarks, saw " seen; exit 1 }
 		exit bad
 	}'
 
